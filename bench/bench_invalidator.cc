@@ -87,25 +87,23 @@ struct World {
   int num_instances = 0;
 };
 
-/// A point-lookup world for the type-compiled matcher: `instances`
-/// single-table instances of one type (`maker = ...`), each with a
-/// distinct bind value. Every cycle inserts tuples matching none of
-/// them, so the interpreted path substitutes every instance's WHERE AST
-/// per tuple while the bind-value index answers each tuple with one
-/// hash probe — the tentpole's O(instances) vs O(1) contrast.
+/// A point-lookup world for the bind index: `instances` single-table
+/// instances of one type (`maker = ...`), each with a distinct bind
+/// value. Every cycle inserts tuples matching none of them, so the
+/// columnar probe answers each (type, table) pair with one hash probe
+/// per distinct key and every instance is skipped before the analysis
+/// fan-out.
 struct EqWorld {
-  /// mode 0 = interpreted (per-instance AST substitution), 1 = compiled
-  /// matcher with per-tuple index probes, 2 = compiled matcher with
-  /// columnar batch probes + fast-path instance skipping.
-  EqWorld(int instances, int mode) : db(&clock) {
+  explicit EqWorld(int instances) : db(&clock) {
     db.CreateTable(db::TableSchema("Car",
                                    {{"maker", db::ColumnType::kString},
                                     {"model", db::ColumnType::kString},
                                     {"price", db::ColumnType::kInt}}))
         .ok();
     invalidator::InvalidatorOptions options;
-    options.use_type_matcher = mode >= 1;
-    options.batch_impact = mode >= 2;
+    // The exact tier would claim these single-table instances and decide
+    // each one from row images; BM_CycleVsStrategy measures that tier.
+    options.exact_strategy = false;
     invalidator =
         std::make_unique<invalidator::Invalidator>(&db, &map, &clock,
                                                    options);
@@ -130,16 +128,11 @@ struct EqWorld {
   std::unique_ptr<invalidator::Invalidator> invalidator;
 };
 
-/// Full cycle cost as the instance count grows, across the three impact
-/// modes (range(1)): 0 interpreted per-instance AST substitution, 1 the
-/// compiled matcher probing bind-value indexes per tuple, 2 the columnar
-/// batch evaluator (whole-column probes + fast-path instance skipping).
-/// Updates match no instance, so instances stay registered and the
-/// measurement is steady-state. The 10^6-instance point runs only the
-/// matcher modes — the interpreted path is quadratic there.
+/// Full cycle cost as the instance count grows: whole-column bind-index
+/// probes plus fast-path instance skipping. Updates match no instance,
+/// so instances stay registered and the measurement is steady-state.
 void BM_CycleVsInstances(benchmark::State& state) {
-  EqWorld world(static_cast<int>(state.range(0)),
-                static_cast<int>(state.range(1)));
+  EqWorld world(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     state.PauseTiming();
     world.AddUpdates(4);
@@ -156,21 +149,17 @@ void BM_CycleVsInstances(benchmark::State& state) {
   state.counters["batch-probes"] = static_cast<double>(ms.batch_probes);
 }
 BENCHMARK(BM_CycleVsInstances)
-    ->ArgsProduct({{100, 1000, 10000, 100000}, {0, 1, 2}})
-    ->Args({1000000, 1})
-    ->Args({1000000, 2})
-    ->ArgNames({"instances", "mode"})
+    ->RangeMultiplier(10)
+    ->Range(1000, 1000000)
+    ->ArgName("instances")
     ->Unit(benchmark::kMillisecond);
 
 /// Residual-poll consolidation: `range(0)` join instances of one type,
-/// each needing its join side decided every cycle. Consolidation off
-/// (range(1)=0) issues one polling query per instance; on (range(1)=1)
-/// the per-type disjunctions cut DBMS round trips to
-/// ceil(instances/chunk) with identical verdicts.
+/// each needing its join side decided every cycle. The per-type
+/// disjunctions cut DBMS round trips from one per instance to
+/// ceil(instances / 64).
 void BM_ConsolidatedPolls(benchmark::State& state) {
-  invalidator::InvalidatorOptions options;
-  options.consolidate_polls = state.range(1) != 0;
-  World world(static_cast<int>(state.range(0)), false, options);
+  World world(static_cast<int>(state.range(0)), false);
   for (auto _ : state) {
     state.PauseTiming();
     world.AddUpdates(1);
@@ -179,15 +168,17 @@ void BM_ConsolidatedPolls(benchmark::State& state) {
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  // polls_issued counts LOGICAL member polls and is identical in both
-  // modes by design; the round-trip counter is what consolidation cuts.
-  state.counters["round-trips/cycle"] =
+  // polls_issued counts LOGICAL member polls (one per instance); the
+  // round-trip counter is what consolidation cuts.
+  state.counters["poll_round_trips"] =
       static_cast<double>(world.invalidator->matcher_stats().poll_round_trips) /
       static_cast<double>(std::max<uint64_t>(1, world.invalidator->stats().cycles));
 }
 BENCHMARK(BM_ConsolidatedPolls)
-    ->ArgsProduct({{16, 64, 256}, {0, 1}})
-    ->ArgNames({"instances", "consolidated"})
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->ArgName("instances")
     ->Unit(benchmark::kMillisecond);
 
 /// Same with join indexes: polls answered inside the invalidator.
@@ -403,7 +394,6 @@ struct ShardWorld {
     invalidator::InvalidatorOptions options;
     options.metadata_shards = shards;
     options.worker_threads = workers;
-    options.use_type_matcher = true;
     invalidator =
         std::make_unique<invalidator::Invalidator>(&db, &map, &clock,
                                                    options);

@@ -18,15 +18,15 @@ namespace cacheportal::invalidator {
 
 /// Per-(type, table) indexes over the bind values of all live instances
 /// of a type: equality hash maps and sorted interval maps, keyed by the
-/// comparand of the type's compiled anchor. A delta tuple's column value
-/// probes the index and gets back exactly the instances whose anchor
-/// conjunct could still be TRUE or NULL for that tuple — every other
+/// comparand of the type's compiled anchor. A column of delta values
+/// probes the index and gets back, per row, the instances whose anchor
+/// conjunct could still be TRUE or NULL for that row — every other
 /// instance's WHERE provably folds to FALSE, so it is unaffected with
 /// zero per-instance AST work.
 ///
-/// The probe mirrors sql::EvalExpression's three-valued semantics
-/// exactly, because exclusion is only sound on a definite FALSE
-/// (`NULL AND residual` stays residual in the fold):
+/// The probe mirrors sql::EvalExpr's three-valued semantics, because
+/// exclusion is only sound on a definite FALSE (`NULL AND residual`
+/// stays residual in the fold):
 ///  - Comparisons (=, <, <=, >, >=, BETWEEN) on incomparable classes
 ///    (string vs numeric, bool, NULL binds) yield NULL, never FALSE, so
 ///    such instances live on per-class always-candidate lists.
@@ -38,24 +38,27 @@ namespace cacheportal::invalidator {
 ///    result to NULL — those instances are always candidates.
 ///  - BETWEEN yields NULL unless BOTH bounds share the probe's class, so
 ///    only same-class (low, high) pairs are interval-indexed.
-///  - NULL or boolean tuple values return everything (bool = bool can
-///    fold FALSE, but template extraction keeps booleans structural, so
-///    they are rare; returning all candidates is always sound).
-///  - Non-finite numerics: ±inf keys are totally ordered and hash
-///    cleanly, so they index normally. NaN does neither — a NaN key
-///    would silently break the sorted maps' strict weak ordering and
-///    never match its own hash lookup — so NaN binds go to the
-///    always-candidate lists (Value::Compare treats NaN as equal to
-///    every numeric, so NaN comparisons never definitely fold FALSE and
-///    exclusion would be unsound anyway) and a NaN tuple value probes
-///    as "all candidates".
+///  - NULL cells compare NULL against everything: every instance is a
+///    candidate (the row is in `all_rows`).
+///
+/// Two cases deliberately over-approximate — a candidate whose conjunct
+/// is FALSE — and they are the only ones (the property test checks every
+/// other verdict against sql::EvalExpr):
+///  - Boolean cells return every instance. bool = bool can fold FALSE,
+///    but template extraction keeps boolean literals structural, so such
+///    binds are rare and not worth a container.
+///  - Numeric values without an exact double key
+///    (sql::IsExactNumericKey). A NaN key would silently break the
+///    sorted maps' strict weak ordering and never match its own hash
+///    lookup, and integers beyond ±2^53 share a double with their
+///    neighbors while Value::Compare orders them exactly. Such binds go
+///    to the always-candidate lists and such cells return every
+///    instance. (Value::Compare treats NaN as equal to every numeric, so
+///    `=` and IN with NaN are TRUE while <, >, BETWEEN and friends may
+///    fold FALSE.) ±inf keys are totally ordered and hash cleanly, so
+///    they index normally.
 class BindIndex {
  public:
-  struct Candidates {
-    bool all = false;           // Every instance of the type is a candidate.
-    std::vector<uint64_t> ids;  // Otherwise: candidate instance IDs (unique).
-  };
-
   /// Indexes `instance` under every anchored table of its type's matcher.
   /// Idempotent per instance_id.
   void AddInstance(const TypeMatcher& matcher, const QueryInstance& instance);
@@ -71,17 +74,12 @@ class BindIndex {
   /// against the registry before trusting probe exclusions.
   size_t IndexedCountOfType(uint64_t type_id) const;
 
-  /// Candidate instances of `type_id` for a delta tuple of `table_lower`
-  /// whose anchored column holds `tuple_value`.
-  Candidates Probe(uint64_t type_id, const std::string& table_lower,
-                   const CompiledAnchor& anchor,
-                   const sql::Value& tuple_value) const;
-
   /// Columnar probe result for a whole (type, table) batch: the rows
-  /// every instance must consider (NULL/boolean/NaN/missing cells) plus
-  /// each candidate instance's row list. Both ascending and
-  /// duplicate-free — element-for-element what per-tuple Probe calls
-  /// would have accumulated, so the two paths are interchangeable.
+  /// every instance must consider (kAlways cells: NULL, boolean, NaN,
+  /// integers beyond ±2^53, missing) plus each candidate instance's
+  /// non-empty row list. All lists are ascending and duplicate-free, and
+  /// no per-instance list repeats a row of `all_rows`, so a sorted merge
+  /// of the two yields an instance's candidate rows in delta order.
   struct BatchProbe {
     std::vector<uint32_t> all_rows;
     std::unordered_map<uint64_t, std::vector<uint32_t>> per_id;

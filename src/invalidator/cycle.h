@@ -113,9 +113,9 @@ struct CycleContext {
   /// One merged tuple view per updated table, borrowed by every
   /// analysis.
   std::vector<TableTuples> merged;
-  /// Columnar materialization of `merged` (parallel by index), built
-  /// when options.batch_impact && options.use_type_matcher; empty
-  /// otherwise. Borrows the same rows as `merged`.
+  /// Columnar materialization of `merged`, parallel by index (ImpactStage
+  /// rejects a context where the two differ in size). Borrows the same
+  /// rows as `merged`.
   std::vector<sql::ColumnBatch> batch_columns;
 
   // ---- ImpactStage output. ----

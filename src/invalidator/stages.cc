@@ -136,14 +136,10 @@ Status IngestStage::Run(CycleContext& ctx) {
 
   // Columnar materialization of the merged views (parallel by index),
   // built once here and probed whole-column per (type, table) anchor by
-  // ImpactStage. Borrows the same rows as `merged`. Gated on the plane's
-  // strategy config (the options resolved once at construction) — the
-  // stages read strategy knobs from one place, not scattered booleans.
-  if (env_.plane->strategy().compiled && env_.plane->strategy().batch) {
-    ctx.batch_columns.reserve(ctx.merged.size());
-    for (const TableTuples& view : ctx.merged) {
-      ctx.batch_columns.push_back(sql::ColumnBatch::FromRows(view.tuples));
-    }
+  // ImpactStage. Borrows the same rows as `merged`.
+  ctx.batch_columns.reserve(ctx.merged.size());
+  for (const TableTuples& view : ctx.merged) {
+    ctx.batch_columns.push_back(sql::ColumnBatch::FromRows(view.tuples));
   }
 
   ctx.proceed = true;
@@ -154,23 +150,16 @@ Status IngestStage::Run(CycleContext& ctx) {
 // ImpactStage
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Index-probe result for one (query type, delta table): per-instance
-/// candidate tuple lists plus the tuples every instance must consider
-/// (NULL/boolean column values). Built serially under the type's shard
-/// lock, read-only in the fan-out. Both lists are ascending and
-/// duplicate-free, so a sorted merge reconstructs each instance's
-/// candidate tuples in delta order.
-struct TableProbe {
-  std::vector<uint32_t> all_tuples;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> per_id;
-};
-
-}  // namespace
-
 Status ImpactStage::Run(CycleContext& ctx) {
   MetadataPlane& plane = *env_.plane;
+
+  // The columnar probes below index batch_columns by merged position; a
+  // hand-built context that breaks the pairing is rejected up front.
+  if (ctx.batch_columns.size() != ctx.merged.size()) {
+    return Status::InvalidArgument(
+        StrCat("cycle context has ", ctx.batch_columns.size(),
+               " column batches for ", ctx.merged.size(), " delta views"));
+  }
 
   // ---- Emergency rung: table-scoped flush, no analysis, no polling. ----
   // Precision is abandoned for this cycle: every registered instance
@@ -200,9 +189,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
   }
 
   // ---- Impact analysis (Section 4.1.2's grouping). ----
-  const bool batch = plane.strategy().compiled && plane.strategy().batch &&
-                     ctx.batch_columns.size() == ctx.merged.size();
-
   // Exact-tier types (DESIGN.md §16): decided per instance from the
   // delta's row images — no index probes, no impact fan-out, no polls.
   // Snapshotted up front because the ForEach* callbacks below must not
@@ -231,50 +217,33 @@ Status ImpactStage::Run(CycleContext& ctx) {
   }
 
   // Serial pre-pass: retire instances whose pages already left the cache
-  // (evicted or invalidated through another instance), and — on the
-  // interpreted/scalar path — snapshot the per-instance work list in the
-  // same walk. The snapshot's QueryInstance pointers stay valid without
-  // holding shard locks: instances are node-mapped and only the cycle
-  // thread (below, or DeliverStage) erases them. Registration may insert
-  // concurrently; inserts never move nodes. The columnar path builds its
-  // (much smaller) work list type by type after the probes instead.
-  std::vector<std::string> retired;
+  // (evicted or invalidated through another instance). The work list is
+  // built type by type after the probes, from candidates only.
   std::vector<InstanceAnalysis>& work = ctx.work;
-  if (!batch) {
-    ctx.work.reserve(plane.NumInstances());
-    plane.ForEachInstance([&](const QueryType& type,
-                              const QueryInstance& instance) {
-      if (sweep && env_.map->NumPagesForQuery(instance.sql) == 0) {
-        retired.push_back(instance.sql);
-        return;
-      }
-      InstanceAnalysis analysis;
-      analysis.type_id = type.type_id;
-      analysis.instance_id = instance.instance_id;
-      analysis.instance = &instance;
-      analysis.exact = exact_types.count(type.type_id) > 0;
-      ctx.work.push_back(std::move(analysis));
-    });
-  } else if (sweep) {
+  if (sweep) {
+    std::vector<std::string> retired;
     plane.ForEachInstance(
         [&](const QueryType&, const QueryInstance& instance) {
           if (env_.map->NumPagesForQuery(instance.sql) == 0) {
             retired.push_back(instance.sql);
           }
         });
-  }
-  for (const std::string& instance_sql : retired) {
-    plane.RetireInstance(instance_sql);
+    for (const std::string& instance_sql : retired) {
+      plane.RetireInstance(instance_sql);
+    }
   }
 
-  // ---- Index probe phase: each delta tuple probes the bind index once
-  // per covered (type, table), producing per-instance candidate tuple
-  // lists. Instances absent from every list are provably unaffected —
-  // the fan-out below skips their AST work entirely. Runs type by type
+  // ---- Index probe phase: enumerate TYPES, not instances. One
+  // whole-column probe per covered (type, table) pair produces
+  // per-instance candidate row lists; the anchored column's kAlways rows
+  // (NULL / boolean / unkeyable numeric / missing cells, and every row
+  // when the column index is beyond the batch width) come back as
+  // all_rows. Instances absent from every list are provably unaffected —
+  // the partition below skips their AST work entirely. Runs type by type
   // under that type's shard lock, so a concurrent registration of the
   // same type is serialized (and keeps the live/indexed counts in step —
   // both change under the same lock).
-  std::map<std::pair<uint64_t, size_t>, TableProbe> probes;
+  std::map<std::pair<uint64_t, size_t>, BindIndex::BatchProbe> probes;
 
   /// Per-type snapshot driving the columnar partition: the live instance
   /// count is captured under the type's shard lock at probe time, so it
@@ -285,104 +254,41 @@ Status ImpactStage::Run(CycleContext& ctx) {
     size_t live = 0;
   };
   std::vector<TypeBlock> blocks;  // Ascending type_id — the scan order.
-
-  if (batch) {
-    // Columnar path: enumerate TYPES, not instances. One whole-column
-    // probe per (type, table) pair; the anchored column's kAlways rows
-    // (NULL / boolean / NaN / missing cells, and every row when the
-    // column index is beyond the batch width) come back as all_rows —
-    // exactly the per-tuple probe's `all` answers.
-    plane.ForEachType([&](const QueryType& type) {
-      blocks.push_back({type.type_id, &type, 0});
-    });
-    for (TypeBlock& block : blocks) {
-      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
-        block.live = shard.registry.NumInstancesOfType(block.type_id);
-        if (block.live == 0) return;
-        // Exact-tier types need no candidate discovery: every instance
-        // is decided from row images in the fan-out below.
-        if (exact_types.count(block.type_id) > 0) return;
-        auto matcher_it = shard.matchers.find(block.type_id);
-        if (matcher_it == shard.matchers.end() ||
-            !matcher_it->second.handled()) {
-          return;
-        }
-        // Exclusion is only sound if every live instance of the type is
-        // indexed; a mismatch (cannot happen while all registrations and
-        // retirements flow through the plane) falls back to the
-        // interpreted path for the whole type.
-        if (shard.bind_index.IndexedCountOfType(block.type_id) !=
-            block.live) {
-          return;
-        }
-        for (size_t t = 0; t < ctx.merged.size(); ++t) {
-          const CompiledAnchor* anchor =
-              matcher_it->second.AnchorFor(ctx.merged[t].table);
-          if (anchor == nullptr) continue;
-          env_.cycle_matcher_stats->probes += ctx.merged[t].tuples.size();
-          ++env_.cycle_matcher_stats->batch_probes;
-          BindIndex::BatchProbe batch_probe;
-          shard.bind_index.ProbeBatch(
-              block.type_id, ctx.merged[t].table, *anchor,
-              ctx.batch_columns[t].Column(anchor->column_index),
-              &batch_probe, env_.cycle_matcher_stats);
-          TableProbe probe;
-          probe.all_tuples = std::move(batch_probe.all_rows);
-          probe.per_id = std::move(batch_probe.per_id);
-          probes.emplace(std::make_pair(block.type_id, t),
-                         std::move(probe));
-        }
-      });
-    }
-  } else if (plane.use_type_matcher() && !work.empty()) {
-    std::vector<uint64_t> work_types;  // Distinct, in work (type) order.
-    for (const InstanceAnalysis& a : work) {
-      if (work_types.empty() || work_types.back() != a.type_id) {
-        work_types.push_back(a.type_id);
+  plane.ForEachType([&](const QueryType& type) {
+    blocks.push_back({type.type_id, &type, 0});
+  });
+  for (TypeBlock& block : blocks) {
+    plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+      block.live = shard.registry.NumInstancesOfType(block.type_id);
+      if (block.live == 0) return;
+      // Exact-tier types need no candidate discovery: every instance is
+      // decided from row images in the fan-out below.
+      if (exact_types.count(block.type_id) > 0) return;
+      auto matcher_it = shard.matchers.find(block.type_id);
+      if (matcher_it == shard.matchers.end() ||
+          !matcher_it->second.handled()) {
+        return;
       }
-    }
-    for (uint64_t type_id : work_types) {
-      if (exact_types.count(type_id) > 0) continue;
-      plane.WithShardOfType(type_id, [&](MetadataPlane::Shard& shard) {
-        auto matcher_it = shard.matchers.find(type_id);
-        if (matcher_it == shard.matchers.end() ||
-            !matcher_it->second.handled()) {
-          return;
-        }
-        // Same live/indexed cross-check as the columnar path above.
-        if (shard.bind_index.IndexedCountOfType(type_id) !=
-            shard.registry.NumInstancesOfType(type_id)) {
-          return;
-        }
-        for (size_t t = 0; t < ctx.merged.size(); ++t) {
-          const CompiledAnchor* anchor =
-              matcher_it->second.AnchorFor(ctx.merged[t].table);
-          if (anchor == nullptr) continue;
-          TableProbe probe;
-          for (uint32_t ti = 0; ti < ctx.merged[t].tuples.size(); ++ti) {
-            ++env_.cycle_matcher_stats->probes;
-            const db::Row& row = *ctx.merged[t].tuples[ti];
-            if (anchor->column_index >= row.size()) {
-              // Malformed row; the analyzer will report it. Everyone
-              // looks.
-              probe.all_tuples.push_back(ti);
-              continue;
-            }
-            BindIndex::Candidates candidates = shard.bind_index.Probe(
-                type_id, ctx.merged[t].table, *anchor,
-                row[anchor->column_index]);
-            if (candidates.all) {
-              probe.all_tuples.push_back(ti);
-              continue;
-            }
-            for (uint64_t id : candidates.ids) {
-              probe.per_id[id].push_back(ti);
-            }
-          }
-          probes.emplace(std::make_pair(type_id, t), std::move(probe));
-        }
-      });
-    }
+      // Exclusion is only sound if every live instance of the type is
+      // indexed; a mismatch (cannot happen while all registrations and
+      // retirements flow through the plane) analyzes the whole type.
+      if (shard.bind_index.IndexedCountOfType(block.type_id) != block.live) {
+        return;
+      }
+      for (size_t t = 0; t < ctx.merged.size(); ++t) {
+        const CompiledAnchor* anchor =
+            matcher_it->second.AnchorFor(ctx.merged[t].table);
+        if (anchor == nullptr) continue;
+        env_.cycle_matcher_stats->probes += ctx.merged[t].tuples.size();
+        ++env_.cycle_matcher_stats->batch_probes;
+        BindIndex::BatchProbe probe;
+        shard.bind_index.ProbeBatch(
+            block.type_id, ctx.merged[t].table, *anchor,
+            ctx.batch_columns[t].Column(anchor->column_index), &probe,
+            env_.cycle_matcher_stats);
+        probes.emplace(std::make_pair(block.type_id, t), std::move(probe));
+      }
+    });
   }
 
   // The multi-table soundness guard's input (see the fan-out below): how
@@ -402,14 +308,14 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // fan-out — and the per-instance state entirely — for instances the
   // probes proved unaffected. A type is eligible when no multi-table
   // guard applies and every merged view either (a) has a probe whose
-  // all_tuples list is empty — then an instance absent from per_id would
+  // all_rows list is empty — then an instance absent from per_id would
   // short-circuit that table with zero AST work — or (b) is a table
   // outside the type's FROM list, which AnalyzeDelta dismisses without
   // reading a tuple. An eligible type materializes only the candidates
-  // in some covering per_id (in SQL-text order, the scalar snapshot's
-  // order — polling order downstream depends on it); the rest fold into
-  // one aggregate record per type, merged below with counters identical
-  // to the scalar walk's. An ineligible type materializes everyone.
+  // in some covering per_id (in SQL-text order — polling order
+  // downstream depends on it); the rest fold into one aggregate record
+  // per type, merged below with the counters a per-instance analysis
+  // would have produced. An ineligible type materializes everyone.
   struct SkippedBlock {
     uint64_t type_id = 0;
     uint64_t count = 0;           // Instances proven unaffected.
@@ -417,117 +323,95 @@ Status ImpactStage::Run(CycleContext& ctx) {
     uint64_t covered_views = 0;   // Tables short-circuited per instance.
   };
   std::vector<SkippedBlock> skipped;
-  if (batch) {
-    std::vector<const QueryInstance*> fetched;
-    for (const TypeBlock& block : blocks) {
-      if (block.live == 0) continue;
-      // Exact-tier types bypass the probe-driven partition: every live
-      // instance enters the work list (SQL-text order — the scalar
-      // snapshot's order) and is decided from row images in the fan-out.
-      if (exact_types.count(block.type_id) > 0) {
-        plane.WithShardOfType(
-            block.type_id, [&](MetadataPlane::Shard& shard) {
-              shard.registry.ForEachInstanceOfType(
-                  block.type_id, [&](const QueryInstance& instance) {
-                    InstanceAnalysis analysis;
-                    analysis.type_id = block.type_id;
-                    analysis.instance_id = instance.instance_id;
-                    analysis.instance = &instance;
-                    analysis.exact = true;
-                    work.push_back(std::move(analysis));
-                  });
-            });
+  const auto push_work = [&work](const QueryInstance& instance, bool exact) {
+    InstanceAnalysis analysis;
+    analysis.type_id = instance.type_id;
+    analysis.instance_id = instance.instance_id;
+    analysis.instance = &instance;
+    analysis.exact = exact;
+    work.push_back(std::move(analysis));
+  };
+  std::vector<const QueryInstance*> fetched;
+  for (const TypeBlock& block : blocks) {
+    if (block.live == 0) continue;
+    // Exact-tier types bypass the probe-driven partition: every live
+    // instance enters the work list and is decided from row images in
+    // the fan-out.
+    const bool exact = exact_types.count(block.type_id) > 0;
+    const sql::SelectStatement* statement = block.type->tmpl.statement.get();
+
+    std::vector<const BindIndex::BatchProbe*> covering(ctx.merged.size(),
+                                                       nullptr);
+    uint64_t covered_tuples = 0;
+    uint64_t covered_views = 0;
+    bool eligible =
+        !exact && statement != nullptr && count_delta_tables(*statement) < 2;
+    for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
+      auto probe_it = probes.find(std::make_pair(block.type_id, t));
+      if (probe_it != probes.end()) {
+        if (!probe_it->second.all_rows.empty()) {
+          eligible = false;  // Some tuples reach every instance.
+          break;
+        }
+        covering[t] = &probe_it->second;
+        covered_tuples += ctx.merged[t].tuples.size();
+        ++covered_views;
         continue;
       }
-      const sql::SelectStatement* statement = block.type->tmpl.statement.get();
+      // Uncovered view: only harmless when the table is not in the
+      // type's FROM list (identical for every instance of the type).
+      for (const sql::TableRef& ref : statement->from) {
+        if (AsciiToLower(ref.table) == ctx.merged[t].table) {
+          eligible = false;
+          break;
+        }
+      }
+    }
 
-      std::vector<const TableProbe*> covering(ctx.merged.size(), nullptr);
-      uint64_t covered_tuples = 0;
-      uint64_t covered_views = 0;
-      bool eligible =
-          statement != nullptr && count_delta_tables(*statement) < 2;
-      if (eligible) {
-        for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
-          auto probe_it = probes.find(std::make_pair(block.type_id, t));
-          if (probe_it != probes.end()) {
-            if (!probe_it->second.all_tuples.empty()) {
-              eligible = false;  // Some tuples reach every instance.
-              break;
-            }
-            covering[t] = &probe_it->second;
-            covered_tuples += ctx.merged[t].tuples.size();
-            ++covered_views;
-            continue;
+    if (!eligible) {
+      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+        shard.registry.ForEachInstanceOfType(
+            block.type_id,
+            [&](const QueryInstance& instance) { push_work(instance, exact); });
+      });
+      continue;
+    }
+
+    // Candidates: the union of the covering probes' per_id keys. Every
+    // key is a live indexed instance of this type, so the remainder —
+    // live minus candidates — is exactly the skipped population.
+    std::vector<uint64_t> candidate_ids;
+    for (size_t t = 0; t < ctx.merged.size(); ++t) {
+      if (covering[t] == nullptr) continue;
+      for (const auto& [id, rows] : covering[t]->per_id) {
+        candidate_ids.push_back(id);
+      }
+    }
+    std::sort(candidate_ids.begin(), candidate_ids.end());
+    candidate_ids.erase(
+        std::unique(candidate_ids.begin(), candidate_ids.end()),
+        candidate_ids.end());
+    fetched.clear();
+    if (!candidate_ids.empty()) {
+      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+        for (uint64_t id : candidate_ids) {
+          const QueryInstance* instance = shard.registry.FindInstanceById(id);
+          if (instance != nullptr && instance->type_id == block.type_id) {
+            fetched.push_back(instance);
           }
-          // Uncovered view: only harmless when the table is not in the
-          // type's FROM list (identical for every instance of the type).
-          for (const sql::TableRef& ref : statement->from) {
-            if (AsciiToLower(ref.table) == ctx.merged[t].table) {
-              eligible = false;
-              break;
-            }
-          }
         }
+      });
+      std::sort(fetched.begin(), fetched.end(),
+                [](const QueryInstance* a, const QueryInstance* b) {
+                  return a->sql < b->sql;
+                });
+      for (const QueryInstance* instance : fetched) {
+        push_work(*instance, /*exact=*/false);
       }
-
-      if (!eligible) {
-        plane.WithShardOfType(
-            block.type_id, [&](MetadataPlane::Shard& shard) {
-              shard.registry.ForEachInstanceOfType(
-                  block.type_id, [&](const QueryInstance& instance) {
-                    InstanceAnalysis analysis;
-                    analysis.type_id = block.type_id;
-                    analysis.instance_id = instance.instance_id;
-                    analysis.instance = &instance;
-                    work.push_back(std::move(analysis));
-                  });
-            });
-        continue;
-      }
-
-      // Candidates: the union of the covering probes' per_id keys. Every
-      // key is a live indexed instance of this type, so the remainder —
-      // live minus candidates — is exactly the skipped population.
-      std::vector<uint64_t> candidate_ids;
-      for (size_t t = 0; t < ctx.merged.size(); ++t) {
-        if (covering[t] == nullptr) continue;
-        for (const auto& [id, rows] : covering[t]->per_id) {
-          candidate_ids.push_back(id);
-        }
-      }
-      std::sort(candidate_ids.begin(), candidate_ids.end());
-      candidate_ids.erase(
-          std::unique(candidate_ids.begin(), candidate_ids.end()),
-          candidate_ids.end());
-      fetched.clear();
-      if (!candidate_ids.empty()) {
-        plane.WithShardOfType(
-            block.type_id, [&](MetadataPlane::Shard& shard) {
-              for (uint64_t id : candidate_ids) {
-                const QueryInstance* instance =
-                    shard.registry.FindInstanceById(id);
-                if (instance != nullptr &&
-                    instance->type_id == block.type_id) {
-                  fetched.push_back(instance);
-                }
-              }
-            });
-        std::sort(fetched.begin(), fetched.end(),
-                  [](const QueryInstance* a, const QueryInstance* b) {
-                    return a->sql < b->sql;
-                  });
-        for (const QueryInstance* instance : fetched) {
-          InstanceAnalysis analysis;
-          analysis.type_id = block.type_id;
-          analysis.instance_id = instance->instance_id;
-          analysis.instance = instance;
-          work.push_back(std::move(analysis));
-        }
-      }
-      if (block.live > fetched.size()) {
-        skipped.push_back({block.type_id, block.live - fetched.size(),
-                           covered_tuples, covered_views});
-      }
+    }
+    if (block.live > fetched.size()) {
+      skipped.push_back({block.type_id, block.live - fetched.size(),
+                         covered_tuples, covered_views});
     }
   }
 
@@ -602,22 +486,22 @@ Status ImpactStage::Run(CycleContext& ctx) {
           std::make_pair(a.type_id, static_cast<size_t>(&view - &merged[0])));
       if (probe_it != probes.end()) {
         // Sorted-merge the tuples every instance must see with this
-        // instance's candidates: delta order is preserved, so verdicts
-        // and polling SQL match the interpreted path byte for byte.
-        const TableProbe& probe = probe_it->second;
+        // instance's candidates, preserving delta order (the polling
+        // query ORs residuals in that order).
+        const BindIndex::BatchProbe& probe = probe_it->second;
         auto own_it = probe.per_id.find(a.instance_id);
         static const std::vector<uint32_t> kNone;
         const std::vector<uint32_t>& own =
             own_it == probe.per_id.end() ? kNone : own_it->second;
         subset.clear();
-        subset.reserve(probe.all_tuples.size() + own.size());
+        subset.reserve(probe.all_rows.size() + own.size());
         size_t x = 0;
         size_t y = 0;
-        while (x < probe.all_tuples.size() || y < own.size()) {
+        while (x < probe.all_rows.size() || y < own.size()) {
           uint32_t next;
           if (y >= own.size() ||
-              (x < probe.all_tuples.size() && probe.all_tuples[x] < own[y])) {
-            next = probe.all_tuples[x++];
+              (x < probe.all_rows.size() && probe.all_rows[x] < own[y])) {
+            next = probe.all_rows[x++];
           } else {
             next = own[y++];
           }
@@ -772,12 +656,12 @@ Status ImpactStage::Run(CycleContext& ctx) {
 
   // Fold the partition's fully-skipped type blocks: the columnar probes
   // short-circuited every table for `count` instances before any
-  // per-instance state existed. Record exactly what the scalar walk
-  // would have per instance — one check, every covered tuple excluded,
-  // one short-circuit per covered table, verdict unaffected (check_time
-  // zero; the fast path reads no clock). All the touched counters are
-  // order-insensitive sums, so folding after the per-instance merge is
-  // byte-identical to interleaving.
+  // per-instance state existed. Record what analyzing each of them would
+  // have — one check, every covered tuple excluded, one short-circuit per
+  // covered table, verdict unaffected (check_time zero; the fast path
+  // reads no clock). All the touched counters are order-insensitive
+  // sums, so folding after the per-instance merge is byte-identical to
+  // interleaving.
   for (const SkippedBlock& block : skipped) {
     plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
       QueryType* mutable_type = shard.registry.FindType(block.type_id);
@@ -801,6 +685,10 @@ Status ImpactStage::Run(CycleContext& ctx) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Maximum member polls folded into one consolidated statement. Bounds
+/// the disjunction's size (and the blast radius of a failed round trip).
+constexpr size_t kConsolidatedPollChunk = 64;
 
 /// One instance's polling work in the parallel polling fan-out. The
 /// scheduler emits an instance's polls contiguously, so grouping is a
@@ -920,80 +808,74 @@ Status PollStage::Run(CycleContext& ctx) {
   // `SELECT * FROM target WHERE (r1) OR (r2) OR ...` — one DBMS round
   // trip per chunk — and each returned row is matched back to its member
   // residuals in-process. Buckets with a single instance keep the exact
-  // per-query path. Which instances end up affected is unchanged, and so
-  // is polls_issued (the merge below reconstructs each member's serial
-  // short-circuit count from the demux); only poll_round_trips (and, if
-  // a merged statement fails, the blast radius of conservatism) differs.
+  // per-query path. The demux decides each member exactly as its own
+  // polls would, and polls_issued counts those logical member polls (the
+  // merge below reconstructs each member's short-circuit count); the
+  // physical statements are counted in poll_round_trips.
   std::vector<MergedPoll> merged_polls;
   std::vector<size_t> classic_groups;
-  if (env_.options->consolidate_polls && poll_groups.size() > 1) {
-    std::vector<bool> consolidated(poll_groups.size(), false);
-    std::map<std::tuple<uint64_t, std::string, std::string>,
-             std::vector<size_t>>
-        buckets;
-    for (size_t g = 0; g < poll_groups.size(); ++g) {
-      const PollGroup& group = poll_groups[g];
-      const sql::TableRef* target = nullptr;
-      bool mergeable = !group.queries.empty();
-      for (const auto& query : group.queries) {
-        if (query->from.size() != 1 || query->where == nullptr) {
-          mergeable = false;
-          break;
-        }
-        if (target == nullptr) {
-          target = &query->from[0];
-        } else if (!EqualsIgnoreCase(query->from[0].table, target->table) ||
-                   !EqualsIgnoreCase(query->from[0].alias, target->alias)) {
-          mergeable = false;
-          break;
-        }
+  std::vector<bool> consolidated(poll_groups.size(), false);
+  std::map<std::tuple<uint64_t, std::string, std::string>,
+           std::vector<size_t>>
+      buckets;
+  for (size_t g = 0; g < poll_groups.size(); ++g) {
+    const PollGroup& group = poll_groups[g];
+    const sql::TableRef* target = nullptr;
+    bool mergeable = !group.queries.empty();
+    for (const auto& query : group.queries) {
+      if (query->from.size() != 1 || query->where == nullptr) {
+        mergeable = false;
+        break;
       }
-      if (!mergeable) continue;
-      buckets[{group.type_id, AsciiToLower(target->table),
-               AsciiToLower(target->alias)}]
-          .push_back(g);
-    }
-    for (const auto& [bucket_key, bucket_groups] : buckets) {
-      if (bucket_groups.size() < 2) continue;
-      size_t chunk = env_.options->consolidated_poll_chunk == 0
-                         ? bucket_groups.size()
-                         : env_.options->consolidated_poll_chunk;
-      for (size_t base = 0; base < bucket_groups.size(); base += chunk) {
-        size_t end = std::min(base + chunk, bucket_groups.size());
-        MergedPoll poll;
-        poll.from = poll_groups[bucket_groups[base]].queries[0]->from[0];
-        sql::ExpressionPtr disjunction;
-        for (size_t j = base; j < end; ++j) {
-          size_t g = bucket_groups[j];
-          poll.groups.push_back(g);
-          consolidated[g] = true;
-          for (size_t q = 0; q < poll_groups[g].queries.size(); ++q) {
-            poll.members.push_back({g, q});
-            sql::ExpressionPtr clause =
-                poll_groups[g].queries[q]->where->Clone();
-            disjunction = disjunction == nullptr
-                              ? std::move(clause)
-                              : std::make_unique<sql::BinaryExpr>(
-                                    sql::BinaryOp::kOr, std::move(disjunction),
-                                    std::move(clause));
-          }
-        }
-        auto statement = std::make_unique<sql::SelectStatement>();
-        sql::SelectItem star;
-        star.star = true;
-        statement->items.push_back(std::move(star));
-        statement->from.push_back(poll.from);
-        statement->where = std::move(disjunction);
-        poll.statement = std::move(statement);
-        merged_polls.push_back(std::move(poll));
+      if (target == nullptr) {
+        target = &query->from[0];
+      } else if (!EqualsIgnoreCase(query->from[0].table, target->table) ||
+                 !EqualsIgnoreCase(query->from[0].alias, target->alias)) {
+        mergeable = false;
+        break;
       }
     }
-    for (size_t g = 0; g < poll_groups.size(); ++g) {
-      if (!consolidated[g]) classic_groups.push_back(g);
+    if (!mergeable) continue;
+    buckets[{group.type_id, AsciiToLower(target->table),
+             AsciiToLower(target->alias)}]
+        .push_back(g);
+  }
+  for (const auto& [bucket_key, bucket_groups] : buckets) {
+    if (bucket_groups.size() < 2) continue;
+    for (size_t base = 0; base < bucket_groups.size();
+         base += kConsolidatedPollChunk) {
+      size_t end =
+          std::min(base + kConsolidatedPollChunk, bucket_groups.size());
+      MergedPoll poll;
+      poll.from = poll_groups[bucket_groups[base]].queries[0]->from[0];
+      sql::ExpressionPtr disjunction;
+      for (size_t j = base; j < end; ++j) {
+        size_t g = bucket_groups[j];
+        poll.groups.push_back(g);
+        consolidated[g] = true;
+        for (size_t q = 0; q < poll_groups[g].queries.size(); ++q) {
+          poll.members.push_back({g, q});
+          sql::ExpressionPtr clause =
+              poll_groups[g].queries[q]->where->Clone();
+          disjunction = disjunction == nullptr
+                            ? std::move(clause)
+                            : std::make_unique<sql::BinaryExpr>(
+                                  sql::BinaryOp::kOr, std::move(disjunction),
+                                  std::move(clause));
+        }
+      }
+      auto statement = std::make_unique<sql::SelectStatement>();
+      sql::SelectItem star;
+      star.star = true;
+      statement->items.push_back(std::move(star));
+      statement->from.push_back(poll.from);
+      statement->where = std::move(disjunction);
+      poll.statement = std::move(statement);
+      merged_polls.push_back(std::move(poll));
     }
-  } else {
-    classic_groups.reserve(poll_groups.size());
-    for (size_t g = 0; g < poll_groups.size(); ++g) classic_groups.push_back(g);
+  }
+  for (size_t g = 0; g < poll_groups.size(); ++g) {
+    if (!consolidated[g]) classic_groups.push_back(g);
   }
 
   // Fan out: one worker task per classic instance (its polls run in
@@ -1077,9 +959,9 @@ Status PollStage::Run(CycleContext& ctx) {
     }
   }
   for (MergedPoll& poll : merged_polls) {
-    // polls_issued stays the LOGICAL member-poll count — what the serial
-    // per-query loop would have issued — so StatsReport() is identical
-    // at every consolidation setting and chunk size; the physical
+    // polls_issued stays the LOGICAL member-poll count — what each
+    // member's own per-query loop would have issued — so StatsReport()
+    // does not depend on how members were chunked; the physical
     // statement count rides in MatcherStats as poll_round_trips.
     ++env_.cycle_matcher_stats->poll_round_trips;
     ++env_.cycle_matcher_stats->consolidated_polls;

@@ -25,11 +25,14 @@ class IngestStage {
   StageEnv env_;
 };
 
-/// Impact analysis (Section 4.1.2's grouping): snapshots the work list,
-/// retires page-less instances, probes the bind indexes, fans the
-/// per-instance analysis across the pool, and merges verdicts into
-/// stats and polling tasks — or, on the emergency rung, table-scope
-/// flushes without analysis.
+/// Impact analysis (Section 4.1.2's grouping): retires page-less
+/// instances, probes the bind indexes column-wise per (type, table),
+/// builds the work list from the candidates (folding provably unaffected
+/// instances into per-type tallies), fans the per-instance analysis
+/// across the pool, and merges verdicts into stats and polling tasks —
+/// or, on the emergency rung, table-scope flushes without analysis.
+/// Returns InvalidArgument when ctx.batch_columns does not parallel
+/// ctx.merged.
 class ImpactStage {
  public:
   explicit ImpactStage(StageEnv env) : env_(std::move(env)) {}

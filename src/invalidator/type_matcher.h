@@ -62,8 +62,8 @@ struct JoinTerm {
 /// table is unaffected only if the predicate fails for EVERY occurrence,
 /// which one column index cannot prove). Templates the compiler cannot
 /// handle — OR-rooted WHERE, NOT, LIKE, <>, expressions over the column —
-/// simply produce no anchors and stay on the interpreted path, keeping
-/// decisions and stats byte-identical.
+/// simply produce no anchors: every instance of the type is analyzed,
+/// none is pruned.
 class TypeMatcher {
  public:
   static TypeMatcher Compile(const QueryType& type,

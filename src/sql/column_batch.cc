@@ -5,6 +5,14 @@
 
 namespace cacheportal::sql {
 
+bool IsExactNumericKey(const Value& v) {
+  constexpr int64_t kExactIntLimit = int64_t{1} << 53;
+  if (v.is_int()) {
+    return v.AsInt() >= -kExactIntLimit && v.AsInt() <= kExactIntLimit;
+  }
+  return v.is_numeric() && !std::isnan(v.AsDouble());
+}
+
 ColumnBatch ColumnBatch::FromRows(
     const std::vector<const std::vector<Value>*>& rows) {
   ColumnBatch batch;
@@ -30,10 +38,10 @@ ColumnBatch ColumnBatch::FromRows(
       if (v.is_numeric()) {
         // The same key normalization the bind index uses: widen like
         // Value::Compare, fold -0.0 into +0.0 (equal but hashes apart),
-        // and route NaN to the always lane (unordered against every
-        // comparand; a NaN key would also corrupt the sorted maps).
-        double d = v.NumericAsDouble();
-        if (!std::isnan(d)) {
+        // and route inexact keys (NaN, integers beyond ±2^53) to the
+        // always lane.
+        if (IsExactNumericKey(v)) {
+          double d = v.NumericAsDouble();
           col.klass[i] = CellClass::kNumeric;
           col.num[i] = d == 0.0 ? 0.0 : d;
           ++col.num_count;

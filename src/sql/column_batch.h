@@ -11,6 +11,13 @@
 
 namespace cacheportal::sql {
 
+/// True when `v` is numeric and its double widening orders and compares
+/// exactly as Value::Compare does: not NaN (unordered), and not an
+/// integer beyond ±2^53 (neighbors there round to one double, while
+/// Value::Compare orders two integers exactly). Only such values become
+/// column-batch or bind-index keys.
+bool IsExactNumericKey(const Value& v);
+
 /// Class of one cell in a column batch, from the point of view of a
 /// compiled anchor predicate (`column REL comparand`). The three-valued
 /// contract mirrors EvalExpression exactly — exclusion downstream is
@@ -22,7 +29,8 @@ namespace cacheportal::sql {
 ///    a missing cell (row shorter than the column index) is treated as
 ///    malformed and analyzed by everyone, and a NaN numeric key is
 ///    unordered against every comparand (and would break the sorted
-///    probe maps' strict weak ordering), so it rides the always lane.
+///    probe maps' strict weak ordering), so it rides the always lane —
+///    as does an integer beyond ±2^53 (see IsExactNumericKey).
 enum class CellClass : uint8_t {
   kNumeric = 0,
   kString,

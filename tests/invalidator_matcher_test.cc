@@ -8,6 +8,8 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "db/database.h"
+#include "impact_oracles.h"
+#include "invalidator/baseline.h"
 #include "invalidator/bind_index.h"
 #include "invalidator/invalidator.h"
 #include "invalidator/type_matcher.h"
@@ -27,23 +29,28 @@ class RecordingSink : public InvalidationSink {
 };
 
 // ---------------------------------------------------------------------------
-// Differential test: the compiled matcher (bind-value indexes) against the
-// interpreted path, on random workloads. The matcher is a pure pruning
-// layer: with it on or off, every cycle must eject the same pages and the
-// final StatsReport() must be byte-identical, at any worker count. The
-// workload is generated independently of the invalidator's behavior so the
-// runs are comparable.
+// Random worlds checked against oracles. The instance pool mixes
+// indexable templates with fallbacks the matcher cannot anchor; the
+// exact tier is off so the single-table shapes go through the bind
+// index. Per cycle, at every (workers x shards) point: the ejects cover
+// every page the re-execution oracle (BaselineInvalidator) finds stale,
+// and equal the test-side precision reference (impact_oracles.h) — the
+// worlds ration no polls and cache none. Ejects, cycle summaries and
+// StatsReport() are byte-identical across the matrix. The workload is
+// generated independently of the invalidator's behavior so the runs are
+// comparable.
 // ---------------------------------------------------------------------------
 
 struct WorldResult {
-  std::vector<std::set<std::string>> ejected;   // Per cycle.
-  std::vector<std::string> summaries;           // Per-cycle report fields.
+  std::vector<std::set<std::string>> ejected;    // Per cycle.
+  std::vector<std::set<std::string>> stale;      // Re-execution oracle.
+  std::vector<std::set<std::string>> reference;  // Precision reference.
+  std::vector<std::string> summaries;            // Per-cycle report fields.
   std::string final_report;
   MatcherStats matcher;
 };
 
-WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
-                     bool consolidate) {
+WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -114,23 +121,28 @@ WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
         break;
     }
   }
+  auto page_of = [](size_t i) { return StrCat("shop/p", i, "?##"); };
 
   sniffer::QiUrlMap map;
   RecordingSink sink;
   InvalidatorOptions options;
-  options.use_type_matcher = use_matcher;
   options.worker_threads = workers;
-  options.consolidate_polls = consolidate;
+  options.metadata_shards = shards;
+  options.exact_strategy = false;
   Invalidator inv(&db, &map, &clock, options);
   inv.AddSink(&sink);
+  BaselineInvalidator oracle(&db, &map);
 
   WorldResult result;
+  uint64_t seq = db.update_log().LastSeq();
   for (int cycle = 0; cycle < 6; ++cycle) {
     // Re-cache every page each cycle (Add is idempotent for live pages),
     // so instances keep getting exercised after ejection.
     for (size_t i = 0; i < sqls.size(); ++i) {
-      map.Add(sqls[i], StrCat("shop/p", i, "?##"), "/r", 0);
+      map.Add(sqls[i], page_of(i), "/r", 0);
     }
+    // Snapshot the (re-)cached instances before this cycle's updates.
+    oracle.RunCycle().value();
     int burst = 1 + static_cast<int>(rng.Uniform(4));
     for (int u = 0; u < burst; ++u) {
       switch (rng.Uniform(4)) {
@@ -156,6 +168,11 @@ WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
           break;
       }
     }
+    result.reference.push_back(ReferencePages(
+        ReferenceAffected(db, db.update_log().ReadSince(seq), sqls), sqls,
+        page_of));
+    seq = db.update_log().LastSeq();
+    result.stale.push_back(oracle.RunCycle().value().stale_pages);
     sink.invalidated.clear();
     auto report = inv.RunCycle();
     EXPECT_TRUE(report.ok());
@@ -173,49 +190,46 @@ WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
 
 class MatcherDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(MatcherDifferentialTest, CompiledMatchesInterpretedAtAnyWorkerCount) {
+TEST_P(MatcherDifferentialTest, EjectsMatchOraclesAtAnyWorkerAndShardCount) {
   const uint64_t seed = GetParam();
-  WorldResult oracle = RunWorld(seed, /*use_matcher=*/false, /*workers=*/1,
-                                /*consolidate=*/false);
-  uint64_t total_excluded = 0;
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    WorldResult compiled = RunWorld(seed, /*use_matcher=*/true, workers,
-                                    /*consolidate=*/false);
-    ASSERT_EQ(compiled.ejected.size(), oracle.ejected.size());
-    for (size_t c = 0; c < oracle.ejected.size(); ++c) {
-      EXPECT_EQ(compiled.ejected[c], oracle.ejected[c])
-          << "seed " << seed << " workers " << workers << " cycle " << c;
-      EXPECT_EQ(compiled.summaries[c], oracle.summaries[c])
-          << "seed " << seed << " workers " << workers << " cycle " << c;
+  WorldResult base = RunWorld(seed, /*workers=*/1, /*shards=*/1);
+  for (size_t c = 0; c < base.ejected.size(); ++c) {
+    for (const std::string& page : base.stale[c]) {
+      EXPECT_TRUE(base.ejected[c].contains(page))
+          << "cycle " << c << ": STALE RETENTION of '" << page << "'";
     }
-    EXPECT_EQ(compiled.final_report, oracle.final_report)
-        << "seed " << seed << " workers " << workers;
-    EXPECT_GT(compiled.matcher.types_compiled, 0u);
-    total_excluded += compiled.matcher.tuples_excluded;
+    EXPECT_EQ(base.ejected[c], base.reference[c]) << "cycle " << c;
   }
-  // The interpreted oracle never touches the matcher.
-  EXPECT_EQ(oracle.matcher.types_compiled, 0u);
-  EXPECT_EQ(oracle.matcher.tuples_excluded, 0u);
-  // The suite as a whole must exercise real exclusions; individual seeds
-  // may legitimately have none (all-fallback instance pools).
-  RecordProperty("tuples_excluded", static_cast<int>(total_excluded));
-}
+  EXPECT_GT(base.matcher.types_compiled, 0u);
 
-TEST_P(MatcherDifferentialTest, ConsolidationPreservesEjectedPages) {
-  const uint64_t seed = GetParam();
-  WorldResult separate = RunWorld(seed, /*use_matcher=*/true, /*workers=*/2,
-                                  /*consolidate=*/false);
-  WorldResult merged = RunWorld(seed, /*use_matcher=*/true, /*workers=*/2,
-                                /*consolidate=*/true);
-  ASSERT_EQ(merged.ejected.size(), separate.ejected.size());
-  for (size_t c = 0; c < separate.ejected.size(); ++c) {
-    EXPECT_EQ(merged.ejected[c], separate.ejected[c])
-        << "seed " << seed << " cycle " << c;
+  for (size_t workers : {1u, 4u, 8u}) {
+    for (size_t shards : {1u, 4u}) {
+      if (workers == 1 && shards == 1) continue;
+      SCOPED_TRACE(StrCat("workers ", workers, " shards ", shards));
+      WorldResult got = RunWorld(seed, workers, shards);
+      EXPECT_EQ(got.ejected, base.ejected);
+      EXPECT_EQ(got.summaries, base.summaries);
+      EXPECT_EQ(got.final_report, base.final_report);
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherDifferentialTest,
                          ::testing::Range<uint64_t>(1, 11));
+
+// The suite's worlds must exercise real pruning: individual seeds may
+// have none (all-fallback instance pools), the suite as a whole may not.
+TEST(MatcherDifferentialSuiteTest, WorldsExerciseExclusionAndTheFastPath) {
+  uint64_t tuples_excluded = 0;
+  uint64_t fast_path_instances = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    WorldResult world = RunWorld(seed, /*workers=*/1, /*shards=*/1);
+    tuples_excluded += world.matcher.tuples_excluded;
+    fast_path_instances += world.matcher.fast_path_instances;
+  }
+  EXPECT_GT(tuples_excluded, 0u);
+  EXPECT_GT(fast_path_instances, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Boundary units: each relational operator's index probe must exclude
@@ -362,96 +376,63 @@ class ConsolidationTest : public ::testing::Test {
 TEST_F(ConsolidationTest, DemuxSelectsExactlyTheSatisfiedMembers) {
   // Four instances of one join type, with EPA thresholds straddling the
   // lone Mileage row (EPA=25): only the 30 and 40 thresholds are hits.
-  for (bool consolidate : {false, true}) {
-    sniffer::QiUrlMap map;
-    RecordingSink sink;
-    InvalidatorOptions options;
-    options.consolidate_polls = consolidate;
-    Invalidator inv(&db_, &map, &clock_, options);
-    inv.AddSink(&sink);
-    for (int threshold : {10, 20, 30, 40}) {
-      map.Add(StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model = "
-                     "Mileage.model AND Mileage.EPA < ",
-                     threshold),
-              StrCat("shop/epa", threshold, "?##"), "/r", 0);
-    }
-    db_.ExecuteSql("INSERT INTO Car VALUES ('Toyota', 'Avalon', 15000)")
-        .value();
-    auto report = inv.RunCycle();
-    ASSERT_TRUE(report.ok());
-    std::set<std::string> expect = {"shop/epa30?##", "shop/epa40?##"};
-    EXPECT_EQ(sink.invalidated, expect) << "consolidate=" << consolidate;
-    // polls_issued counts logical member polls, identical either way;
-    // consolidation shows up only in the physical round-trip count.
-    EXPECT_EQ(report->polls_issued, 4u) << "consolidate=" << consolidate;
-    if (consolidate) {
-      EXPECT_EQ(inv.matcher_stats().poll_round_trips, 1u);
-      EXPECT_EQ(inv.matcher_stats().consolidated_polls, 1u);
-      EXPECT_EQ(inv.matcher_stats().consolidated_members, 4u);
-    } else {
-      EXPECT_EQ(inv.matcher_stats().poll_round_trips, 4u);
-    }
-    db_.ExecuteSql("DELETE FROM Car WHERE price = 15000").value();
-    // Drain the delete's delta so the next loop iteration starts clean.
-    inv.RunCycle().value();
-  }
-}
-
-TEST_F(ConsolidationTest, ReducesPollRoundTripsAtLeastThreefold) {
-  constexpr int kInstances = 12;
-  uint64_t polls[2];
-  std::set<std::string> ejected[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    bool consolidate = pass == 1;
-    sniffer::QiUrlMap map;
-    RecordingSink sink;
-    InvalidatorOptions options;
-    options.consolidate_polls = consolidate;
-    Invalidator inv(&db_, &map, &clock_, options);
-    inv.AddSink(&sink);
-    for (int i = 0; i < kInstances; ++i) {
-      map.Add(StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model = "
-                     "Mileage.model AND Mileage.EPA < ",
-                     100 + i),
-              StrCat("shop/page", i, "?##"), "/r", 0);
-    }
-    db_.ExecuteSql("INSERT INTO Car VALUES ('Toyota', 'Avalon', 15000)")
-        .value();
-    auto report = inv.RunCycle();
-    ASSERT_TRUE(report.ok());
-    // Logical poll count is consolidation-invariant; the savings are in
-    // the physical statements sent to the target.
-    EXPECT_EQ(report->polls_issued, static_cast<uint64_t>(kInstances));
-    polls[pass] = inv.matcher_stats().poll_round_trips;
-    ejected[pass] = sink.invalidated;
-    db_.ExecuteSql("DELETE FROM Car WHERE price = 15000").value();
-    inv.RunCycle().value();
-  }
-  EXPECT_EQ(ejected[0], ejected[1]);
-  EXPECT_EQ(ejected[0].size(), static_cast<size_t>(kInstances));
-  EXPECT_EQ(polls[0], static_cast<uint64_t>(kInstances));
-  EXPECT_GE(polls[0], 3 * polls[1]);  // >= 3x fewer round trips.
-}
-
-TEST_F(ConsolidationTest, ChunkingSplitsLargeBuckets) {
   sniffer::QiUrlMap map;
   RecordingSink sink;
-  InvalidatorOptions options;
-  options.consolidated_poll_chunk = 4;
-  Invalidator inv(&db_, &map, &clock_, options);
+  Invalidator inv(&db_, &map, &clock_, {});
   inv.AddSink(&sink);
-  for (int i = 0; i < 10; ++i) {
+  for (int threshold : {10, 20, 30, 40}) {
+    map.Add(StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model = "
+                   "Mileage.model AND Mileage.EPA < ",
+                   threshold),
+            StrCat("shop/epa", threshold, "?##"), "/r", 0);
+  }
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Toyota', 'Avalon', 15000)").value();
+  auto report = inv.RunCycle();
+  ASSERT_TRUE(report.ok());
+  std::set<std::string> expect = {"shop/epa30?##", "shop/epa40?##"};
+  EXPECT_EQ(sink.invalidated, expect);
+  // polls_issued counts logical member polls; consolidation shows up
+  // only in the physical round-trip count.
+  EXPECT_EQ(report->polls_issued, 4u);
+  EXPECT_EQ(inv.matcher_stats().poll_round_trips, 1u);
+  EXPECT_EQ(inv.matcher_stats().consolidated_polls, 1u);
+  EXPECT_EQ(inv.matcher_stats().consolidated_members, 4u);
+}
+
+/// Registers `members` instances of one join type whose every poll hits
+/// (EPA thresholds above the lone row), runs one cycle, and checks the
+/// counts known by construction: every member ejected, one logical poll
+/// each, ceil(members / 64) round trips.
+void ExpectOneBucketOf(int members, db::Database* db, ManualClock* clock) {
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  Invalidator inv(db, &map, clock, {});
+  inv.AddSink(&sink);
+  for (int i = 0; i < members; ++i) {
     map.Add(StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model = "
                    "Mileage.model AND Mileage.EPA < ",
                    100 + i),
             StrCat("shop/page", i, "?##"), "/r", 0);
   }
-  db_.ExecuteSql("INSERT INTO Car VALUES ('Toyota', 'Avalon', 15000)").value();
+  db->ExecuteSql("INSERT INTO Car VALUES ('Toyota', 'Avalon', 15000)").value();
   auto report = inv.RunCycle();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->polls_issued, 10u);  // One logical poll per member.
-  EXPECT_EQ(inv.matcher_stats().poll_round_trips, 3u);  // ceil(10 / 4).
-  EXPECT_EQ(sink.invalidated.size(), 10u);
+  EXPECT_EQ(sink.invalidated.size(), static_cast<size_t>(members));
+  EXPECT_EQ(report->polls_issued, static_cast<uint64_t>(members));
+  EXPECT_EQ(inv.matcher_stats().poll_round_trips,
+            static_cast<uint64_t>((members + 63) / 64));
+  EXPECT_EQ(inv.matcher_stats().consolidated_members,
+            static_cast<uint64_t>(members));
+}
+
+TEST_F(ConsolidationTest, ReducesPollRoundTripsAtLeastThreefold) {
+  // Twelve members fit one chunk: one round trip instead of twelve.
+  ExpectOneBucketOf(12, &db_, &clock_);
+}
+
+TEST_F(ConsolidationTest, ChunkingSplitsLargeBuckets) {
+  // 130 members: two full chunks of 64 and a partial chunk of 2.
+  ExpectOneBucketOf(130, &db_, &clock_);
 }
 
 // ---------------------------------------------------------------------------

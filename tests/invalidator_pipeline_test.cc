@@ -63,8 +63,7 @@ struct MatrixResult {
   std::string stats_report;
 };
 
-MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers,
-                               bool matcher) {
+MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -88,7 +87,6 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers,
   InvalidatorOptions options;
   options.metadata_shards = shards;
   options.worker_threads = workers;
-  options.use_type_matcher = matcher;
   options.max_polls_per_cycle = 2;  // Budget pressure: condemnations.
   options.polling_cache_capacity = 8;
   Invalidator inv(&db, &map, &clock, options);
@@ -176,24 +174,20 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers,
 class PipelineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PipelineDifferentialTest, ShardAndWorkerCountsDoNotChangeDecisions) {
-  for (bool matcher : {false, true}) {
-    SCOPED_TRACE(StrCat("matcher=", matcher));
-    MatrixResult oracle = RunMatrixScenario(GetParam(), 1, 1, matcher);
-    // The scenario is non-trivial: something got invalidated.
-    size_t total = 0;
-    for (const auto& cycle : oracle.cycle_invalidated) total += cycle.size();
-    EXPECT_GT(total, 0u);
+  MatrixResult oracle = RunMatrixScenario(GetParam(), 1, 1);
+  // The scenario is non-trivial: something got invalidated.
+  size_t total = 0;
+  for (const auto& cycle : oracle.cycle_invalidated) total += cycle.size();
+  EXPECT_GT(total, 0u);
 
-    for (size_t shards : {1u, 2u, 4u}) {
-      for (size_t workers : {1u, 4u}) {
-        if (shards == 1 && workers == 1) continue;
-        SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
-        MatrixResult got = RunMatrixScenario(GetParam(), shards, workers,
-                                             matcher);
-        EXPECT_EQ(oracle.cycle_invalidated, got.cycle_invalidated);
-        EXPECT_EQ(oracle.cycle_reports, got.cycle_reports);
-        EXPECT_EQ(oracle.stats_report, got.stats_report);
-      }
+  for (size_t shards : {1u, 2u, 4u}) {
+    for (size_t workers : {1u, 4u}) {
+      if (shards == 1 && workers == 1) continue;
+      SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
+      MatrixResult got = RunMatrixScenario(GetParam(), shards, workers);
+      EXPECT_EQ(oracle.cycle_invalidated, got.cycle_invalidated);
+      EXPECT_EQ(oracle.cycle_reports, got.cycle_reports);
+      EXPECT_EQ(oracle.stats_report, got.stats_report);
     }
   }
 }
@@ -220,7 +214,7 @@ TEST(MetadataPlaneTest, MergedIterationOrderIsShardCountInvariant) {
       "AND Car.price < 16000",
   };
   auto scan = [&sqls, &db](size_t shards) {
-    MetadataPlane plane(&db, shards, /*use_type_matcher=*/true);
+    MetadataPlane plane(&db, shards);
     for (const std::string& sql_text : sqls) {
       EXPECT_TRUE(plane.RegisterInstance(sql_text).ok()) << sql_text;
     }
@@ -247,7 +241,7 @@ TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
-  MetadataPlane plane(&db, 4, /*use_type_matcher=*/true);
+  MetadataPlane plane(&db, 4);
   const std::string sql_text = "SELECT * FROM Car WHERE price < 9000";
 
   const QueryInstance* first = plane.RegisterInstance(sql_text).value();
@@ -275,7 +269,7 @@ TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
 TEST(MetadataPlaneTest, MapCursorsAdvanceInLockstepAndReset) {
   ManualClock clock;
   db::Database db(&clock);
-  MetadataPlane plane(&db, 3, /*use_type_matcher=*/false);
+  MetadataPlane plane(&db, 3);
   EXPECT_EQ(plane.MinMapCursor(), 0u);
   plane.AdvanceMapCursors(7);
   EXPECT_EQ(plane.MinMapCursor(), 7u);
@@ -289,7 +283,7 @@ TEST(MetadataPlaneTest, MapCursorsAdvanceInLockstepAndReset) {
 TEST(MetadataPlaneTest, ZeroShardsIsTreatedAsOne) {
   ManualClock clock;
   db::Database db(&clock);
-  MetadataPlane plane(&db, 0, /*use_type_matcher=*/false);
+  MetadataPlane plane(&db, 0);
   EXPECT_EQ(plane.num_shards(), 1u);
 }
 
@@ -339,9 +333,9 @@ TEST(StagePolicyTest, RungsResolveToKnobs) {
 
 /// Owns every component a StageEnv borrows, with nullable extras off.
 struct StageFixture {
-  explicit StageFixture(size_t shards = 2, bool matcher = false)
+  explicit StageFixture(size_t shards = 2)
       : db(&clock),
-        plane(&db, shards, matcher),
+        plane(&db, shards),
         info(&db),
         scheduler(/*max_polls_per_cycle=*/0) {}
 
@@ -398,6 +392,9 @@ TEST(IngestStageTest, RegistersInstancesAndBuildsDeltas) {
   EXPECT_EQ(fx.plane.MinMapCursor(), fx.map.LastId());
   ASSERT_EQ(ctx.merged.size(), 1u);
   EXPECT_EQ(ctx.merged[0].tuples.size(), 1u);
+  // One column batch per merged view, for ImpactStage's probes.
+  ASSERT_EQ(ctx.batch_columns.size(), 1u);
+  EXPECT_EQ(ctx.batch_columns[0].Column(0).size(), 1u);
   EXPECT_EQ(fx.last_update_seq, fx.db.update_log().LastSeq());
 }
 
@@ -474,6 +471,77 @@ TEST(ImpactStageTest, SplitsAffectedFromUnaffected) {
   EXPECT_EQ(fx.stats.affected_immediately, 1u);
   EXPECT_EQ(fx.stats.unaffected, 1u);
   EXPECT_TRUE(ctx.tasks.empty());
+}
+
+TEST(ImpactStageTest, PrunesThroughTheBindIndex) {
+  StageFixture fx;
+  ASSERT_TRUE(
+      fx.db.CreateTable(db::TableSchema("T", {{"x", db::ColumnType::kInt}}))
+          .ok());
+  fx.last_update_seq = fx.db.update_log().LastSeq();
+  // Aggregation keeps the type off the exact tier; its `x = $1` anchor
+  // puts it on the compiled-batch tier.
+  for (int k = 0; k < 10; ++k) {
+    fx.map.Add(StrCat("SELECT COUNT(*) FROM T WHERE x = ", k),
+               StrCat("p", k), "/r", 0);
+  }
+  fx.db.ExecuteSql("INSERT INTO T VALUES (3)").value();
+
+  CycleContext ctx;
+  ASSERT_TRUE(IngestStage(fx.Env()).Run(ctx).ok());
+  ASSERT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
+  // One candidate analyzed; the nine others skipped before the fan-out.
+  EXPECT_EQ(ctx.work.size(), 1u);
+  EXPECT_EQ(ctx.affected,
+            std::set<std::string>{"SELECT COUNT(*) FROM T WHERE x = 3"});
+  EXPECT_EQ(ctx.report.checks, 10u);
+  EXPECT_EQ(fx.cycle_matcher_stats.batch_probes, 1u);
+  EXPECT_EQ(fx.cycle_matcher_stats.fast_path_instances, 9u);
+}
+
+// A cell the index cannot key (here an integer beyond 2^53) lands in
+// all_rows: the type loses its fast path and every instance is analyzed,
+// so the matching instance is found although no per-instance list names
+// it.
+TEST(ImpactStageTest, AlwaysLaneRowsReachEveryInstance) {
+  StageFixture fx;
+  ASSERT_TRUE(
+      fx.db.CreateTable(db::TableSchema("T", {{"x", db::ColumnType::kInt}}))
+          .ok());
+  fx.last_update_seq = fx.db.update_log().LastSeq();
+  const std::string big = "SELECT COUNT(*) FROM T WHERE x = 9007199254740993";
+  const std::string small = "SELECT COUNT(*) FROM T WHERE x = 1";
+  fx.map.Add(big, "p-big", "/r", 0);
+  fx.map.Add(small, "p-small", "/r", 0);
+  fx.db.ExecuteSql("INSERT INTO T VALUES (9007199254740993)").value();
+
+  CycleContext ctx;
+  ASSERT_TRUE(IngestStage(fx.Env()).Run(ctx).ok());
+  ASSERT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
+  EXPECT_EQ(ctx.affected, std::set<std::string>{big});
+  EXPECT_EQ(ctx.work.size(), 2u);
+  EXPECT_EQ(fx.cycle_matcher_stats.fast_path_instances, 0u);
+}
+
+TEST(ImpactStageTest, RejectsColumnBatchesThatDoNotParallelTheViews) {
+  StageFixture fx;
+  ASSERT_TRUE(
+      fx.db.CreateTable(db::TableSchema("T", {{"x", db::ColumnType::kInt}}))
+          .ok());
+  fx.last_update_seq = fx.db.update_log().LastSeq();
+  fx.map.Add("SELECT * FROM T WHERE x < 10", "p1", "/r", 0);
+  fx.db.ExecuteSql("INSERT INTO T VALUES (5)").value();
+
+  CycleContext ctx;
+  ASSERT_TRUE(IngestStage(fx.Env()).Run(ctx).ok());
+  ASSERT_EQ(ctx.batch_columns.size(), 1u);
+  // A hand-built context whose columns went missing: the stage must
+  // refuse it rather than index past the end.
+  ctx.batch_columns.clear();
+  Status status = ImpactStage(fx.Env()).Run(ctx);
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(ctx.affected.empty());
+  EXPECT_EQ(ctx.report.checks, 0u);
 }
 
 TEST(PollStageTest, SkipPollsCondemnsEveryUndecidedInstance) {

@@ -444,9 +444,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StrategyDifferentialTest,
 // ---------------------------------------------------------------------------
 
 /// Owns every component a StageEnv borrows (invalidator_pipeline_test's
-/// fixture, with the strategy-config plane ctor).
+/// fixture).
 struct StageFixture {
-  StageFixture() : db(&clock), plane(&db, 2, StrategyConfig{}), info(&db),
+  StageFixture() : db(&clock), plane(&db, 2), info(&db),
                    scheduler(/*max_polls_per_cycle=*/0) {}
 
   StageEnv Env() {

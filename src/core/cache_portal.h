@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "cache/page_cache.h"
 #include "common/clock.h"
@@ -130,8 +131,8 @@ class CachePortal {
   Result<invalidator::CycleReport> RunCycle();
 
   /// Serializes the invalidator's resumption state (see
-  /// Invalidator::Checkpoint; format v4 — update-log cursor, per-shard
-  /// QI/URL-map cursors, full registry, sink backlogs) and trims the
+  /// Invalidator::Checkpoint: update-log cursor, per-shard QI/URL-map
+  /// cursors, full registry, sink backlogs) and trims the
   /// update log — the log's bounded-memory story: records at or below
   /// the checkpointed cursor can never be needed again, even across a
   /// crash+Restore. With durability configured this also installs a
@@ -139,10 +140,10 @@ class CachePortal {
   /// position that snapshot (or the last synced commit) durably covers.
   std::string Checkpoint();
 
-  /// Rebuilds resumption state from Checkpoint() output. Accepts any
-  /// checkpoint version (v1+), including one written at a different
-  /// metadata-plane shard count.
-  Status Restore(const std::string& checkpoint) {
+  /// Rebuilds resumption state from Checkpoint() output, including one
+  /// written at a different metadata-plane shard count. Anything else is
+  /// a ParseError.
+  Status Restore(std::string_view checkpoint) {
     return invalidator_.Restore(checkpoint);
   }
 

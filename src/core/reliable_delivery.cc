@@ -1,18 +1,21 @@
 #include "core/reliable_delivery.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/file_util.h"
 #include "common/logging.h"
+#include "common/record_codec.h"
 #include "common/strings.h"
 
 namespace cacheportal::core {
 
 namespace {
 
-// v1 checkpoints predate circuit breakers; RestoreState accepts both.
-constexpr char kQueueCheckpointMagicV1[] = "delivery-queue 1";
-constexpr char kQueueCheckpointMagicV2[] = "delivery-queue 2";
+/// Queue state layout (common/record_codec.h): magic, then a counted
+/// list of sinks in AddSink order, each: name bytes, quarantined flag,
+/// breaker-tripped flag (open or half-open), recovery-flush flag, and a
+/// counted list of messages (cache key bytes, serialized eject bytes).
+constexpr char kQueueStateMagic[] = "CPDQ";
 
 const char* BreakerName(ReliableDeliveryQueue::BreakerState state) {
   switch (state) {
@@ -506,133 +509,97 @@ const ReliableDeliveryQueue::SinkState* ReliableDeliveryQueue::FindSink(
 }
 
 std::string ReliableDeliveryQueue::CheckpointState() const {
-  // Message payloads are serialized HTTP (they contain CRLFs), so key
-  // and wire travel as length-prefixed raw blocks after each msg line.
-  // v2 adds the breaker fields to the sink line; v1 checkpoints (without
-  // them) still restore.
-  std::string out = StrCat(kQueueCheckpointMagicV2, "\n");
+  std::string out = kQueueStateMagic;
+  PutFixed64(&out, sinks_.size());
   for (const SinkState& state : sinks_) {
-    out += StrCat("sink ", state.quarantined ? 1 : 0, " ",
-                  static_cast<int>(state.breaker), " ",
-                  state.recovery_flush_pending ? 1 : 0, " ",
-                  state.queue.size(), " ", state.name.size(), " ",
-                  state.name, "\n");
+    PutLengthPrefixed(&out, state.name);
+    PutFixed64(&out, state.quarantined ? 1 : 0);
+    PutFixed64(&out, state.breaker != BreakerState::kClosed ? 1 : 0);
+    PutFixed64(&out, state.recovery_flush_pending ? 1 : 0);
+    PutFixed64(&out, state.queue.size());
     for (const PendingMessage& message : state.queue) {
-      std::string wire = message.request.Serialize();
-      out += StrCat("msg ", message.cache_key.size(), " ", wire.size(),
-                    "\n");
-      out += message.cache_key;
-      out += wire;
-      out += "\n";
+      PutLengthPrefixed(&out, message.cache_key);
+      PutLengthPrefixed(&out, message.request.Serialize());
     }
   }
-  out += "end\n";
   return out;
 }
 
-Status ReliableDeliveryQueue::RestoreState(const std::string& state_bytes) {
-  size_t pos = 0;
-  auto next_line = [&state_bytes, &pos]() -> std::optional<std::string> {
-    if (pos >= state_bytes.size()) return std::nullopt;
-    size_t nl = state_bytes.find('\n', pos);
-    if (nl == std::string::npos) nl = state_bytes.size();
-    std::string line = state_bytes.substr(pos, nl - pos);
-    pos = nl + 1;
-    return line;
+Status ReliableDeliveryQueue::RestoreState(std::string_view state_bytes) {
+  CACHEPORTAL_ASSIGN_OR_RETURN(
+      RecordReader r, RecordReader::Open(state_bytes, kQueueStateMagic,
+                                         "delivery-queue state"));
+  // Every sink decodes into staging first; the live sinks change only
+  // after the whole blob has decoded, so a corrupt record anywhere drops
+  // no pending eject.
+  struct Staged {
+    SinkState* live = nullptr;
+    bool quarantined = false;
+    bool breaker_tripped = false;
+    bool recovery_flush_pending = false;
+    std::deque<PendingMessage> queue;
   };
-
-  std::optional<std::string> magic = next_line();
-  if (!magic.has_value() || (*magic != kQueueCheckpointMagicV1 &&
-                             *magic != kQueueCheckpointMagicV2)) {
-    return Status::ParseError("not a delivery-queue checkpoint");
-  }
-  const bool v2 = *magic == kQueueCheckpointMagicV2;
-  // v1 sink line:  sink <quarantined> <qsize> <namelen> <name>
-  // v2 sink line:  sink <quarantined> <breaker> <flush_pending> <qsize>
-  //                <namelen> <name>
-  const size_t sink_fields = v2 ? 6 : 4;
-  Micros now = clock_->NowMicros();
-  SinkState* current = nullptr;
-  bool saw_end = false;
-  while (std::optional<std::string> line = next_line()) {
-    std::vector<std::string> fields = StrSplit(*line, ' ');
-    if (fields.empty() || fields[0].empty()) continue;
-    if (fields[0] == "end") {
-      saw_end = true;
-      break;
+  CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t num_sinks,
+                               r.Count("sink count", 4 + 4 * 8));
+  std::vector<Staged> staged(num_sinks);
+  const Micros now = clock_->NowMicros();
+  for (size_t i = 0; i < staged.size(); ++i) {
+    Staged& sink = staged[i];
+    CACHEPORTAL_ASSIGN_OR_RETURN(std::string_view name, r.Bytes("sink name"));
+    sink.live = FindSink(std::string(name));
+    if (sink.live == nullptr) {
+      return Status::InvalidArgument(
+          StrCat("delivery checkpoint references unknown sink '", name,
+                 "'; re-add sinks with their original names before "
+                 "restoring"));
     }
-    if (fields[0] == "sink" && fields.size() >= sink_fields + 1) {
-      size_t name_length =
-          std::strtoull(fields[sink_fields - 1].c_str(), nullptr, 10);
-      // The name is everything after the last counted space (it may
-      // itself contain spaces); the persisted length validates the slice.
-      size_t name_offset = 0;
-      for (size_t i = 0; i < sink_fields; ++i) {
-        name_offset += fields[i].size() + 1;
+    for (size_t j = 0; j < i; ++j) {
+      if (staged[j].live == sink.live) {
+        return r.Invalid("sink name", StrCat("duplicate sink '", name, "'"));
       }
-      if (name_offset + name_length != line->size()) {
-        return Status::ParseError(
-            StrCat("corrupt sink record in delivery checkpoint: ", *line));
-      }
-      std::string name = line->substr(name_offset);
-      current = FindSink(name);
-      if (current == nullptr) {
-        return Status::InvalidArgument(
-            StrCat("delivery checkpoint references unknown sink '", name,
-                   "'; re-add sinks with their original names before "
-                   "restoring"));
-      }
-      current->quarantined = fields[1] == "1";
-      current->queue.clear();
-      // Breaker state rebases into the new process's clock: a breaker
-      // that was open (or mid-probe) restarts a full cooldown now, and
-      // the failure streak resets — but a pending recovery flush is
-      // durable, since the dropped ejects are gone either way.
-      current->consecutive_failures = 0;
-      if (v2) {
-        int breaker = std::atoi(fields[2].c_str());
-        current->breaker = breaker == 0 ? BreakerState::kClosed
-                                        : BreakerState::kOpen;
-        current->breaker_opened_at = now;
-        current->recovery_flush_pending = fields[3] == "1";
-      } else {
-        current->breaker = BreakerState::kClosed;
-        current->breaker_opened_at = 0;
-        current->recovery_flush_pending = false;
-      }
-    } else if (fields[0] == "msg" && fields.size() == 3) {
-      if (current == nullptr) {
-        return Status::ParseError("msg record before any sink record");
-      }
-      size_t key_length = std::strtoull(fields[1].c_str(), nullptr, 10);
-      size_t wire_length = std::strtoull(fields[2].c_str(), nullptr, 10);
-      if (pos + key_length + wire_length > state_bytes.size()) {
-        return Status::ParseError("truncated delivery checkpoint");
-      }
+    }
+    CACHEPORTAL_ASSIGN_OR_RETURN(sink.quarantined, r.Flag("quarantined"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(sink.breaker_tripped, r.Flag("breaker"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(sink.recovery_flush_pending,
+                                 r.Flag("recovery flush"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t num_messages,
+                                 r.Count("message count", 2 * 4));
+    for (uint64_t m = 0; m < num_messages; ++m) {
       PendingMessage message;
-      message.cache_key = state_bytes.substr(pos, key_length);
-      std::string wire = state_bytes.substr(pos + key_length, wire_length);
-      pos += key_length + wire_length + 1;  // Skip the trailing '\n'.
-      Result<http::HttpRequest> request = http::HttpRequest::Parse(wire);
+      CACHEPORTAL_ASSIGN_OR_RETURN(std::string_view key,
+                                   r.Bytes("message cache key"));
+      CACHEPORTAL_ASSIGN_OR_RETURN(std::string_view wire,
+                                   r.Bytes("message request"));
+      Result<http::HttpRequest> request =
+          http::HttpRequest::Parse(std::string(wire));
       if (!request.ok()) {
-        return Status::ParseError(
-            StrCat("unparseable eject message in delivery checkpoint: ",
-                   request.status().ToString()));
+        return r.Invalid("message request", request.status().message());
       }
       message.request = std::move(request).value();
+      message.cache_key = key;
       // Rebase timing into the new process's clock and grant a full
       // attempt budget: the outage that queued the message has usually
       // passed, and redelivery is idempotent either way.
-      message.attempts = 0;
       message.first_attempt = now;
       message.next_retry = now;
-      current->queue.push_back(std::move(message));
-    } else {
-      return Status::ParseError(
-          StrCat("unknown delivery checkpoint record: ", *line));
+      sink.queue.push_back(std::move(message));
     }
   }
-  if (!saw_end) return Status::ParseError("truncated delivery checkpoint");
+  CACHEPORTAL_RETURN_NOT_OK(r.Finish());
+  for (Staged& sink : staged) {
+    SinkState& live = *sink.live;
+    live.quarantined = sink.quarantined;
+    live.queue = std::move(sink.queue);
+    // Breaker state rebases into the new process's clock: a breaker
+    // that was open (or mid-probe) restarts a full cooldown now, and the
+    // failure streak resets — but a pending recovery flush is durable,
+    // since the dropped ejects are gone either way.
+    live.breaker =
+        sink.breaker_tripped ? BreakerState::kOpen : BreakerState::kClosed;
+    live.breaker_opened_at = now;
+    live.consecutive_failures = 0;
+    live.recovery_flush_pending = sink.recovery_flush_pending;
+  }
   return Status::OK();
 }
 

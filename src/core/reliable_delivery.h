@@ -6,6 +6,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -204,12 +205,13 @@ class ReliableDeliveryQueue : public invalidator::InvalidationSink,
   size_t PendingBacklog() const override { return pending(); }
   std::string HealthReport() const override;
 
-  // CheckpointableSink: un-acked messages (and quarantine flags) as
-  // opaque bytes. RestoreState requires the same sinks to have been
-  // re-added (matched by name); restored messages retry immediately,
-  // with attempt counts rebased so a recovering sink gets a full budget.
+  // CheckpointableSink: un-acked messages and quarantine/breaker flags
+  // in the record codec. RestoreState requires the same sinks to have
+  // been re-added (matched by name) and changes nothing unless the whole
+  // state decodes; restored messages retry immediately, with attempt
+  // counts rebased so a recovering sink gets a full budget.
   std::string CheckpointState() const override;
-  Status RestoreState(const std::string& state) override;
+  Status RestoreState(std::string_view state) override;
 
  private:
   struct PendingMessage {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/logging.h"
+#include "common/record_codec.h"
 #include "common/strings.h"
 #include "invalidator/stages.h"
 #include "sql/template.h"
@@ -166,654 +167,350 @@ std::string Invalidator::StatsReport() const {
 
 namespace {
 
-/// Checkpoint framing. Sink states are opaque bytes (they may contain
-/// newlines and serialized HTTP), so they travel as length-prefixed
-/// blocks rather than lines.
-///
-/// v3 (current): per-shard QI/URL-map cursors.
-///   cacheportal-invalidator-checkpoint 3
-///   update_seq N
-///   shards K
-///   shard_map_id I CURSOR     (K lines, I in [0, K))
-///   sink I LEN \n <LEN bytes> \n   (per checkpointable sink)
-///   end
-///
-/// v4 (legacy, still restorable — the pre-tier snapshot payload): adds
-/// the full registry — the plane-global type counter, the lifetime
-/// counters, every type (statistics + cacheability + name + canonical
-/// template text as length-prefixed blocks), and every live instance's
-/// SQL — so restore needs no QI/URL-map rescan and the map cursors
-/// restore to their persisted positions:
-///   cacheportal-invalidator-checkpoint 4
-///   update_seq N
-///   shards K
-///   shard_map_id I CURSOR         (K lines, I in [0, K))
-///   type_counter N
-///   stats <14 lifetime counters>
-///   type TID CACHEABLE SEEN CHECKS AFFECTED POLLS TOTAL_US MAX_US
-///        NAMELEN TMPLLEN \n <name> \n <template> \n   (per type)
-///   instance LEN \n <sql> \n     (per live instance, scan order)
-///   sink I LEN \n <LEN bytes> \n (per checkpointable sink)
-///   end
-///
-/// v5 (current, the durable store's snapshot payload): the v4 grammar
-/// with the type record widened by the strategy tier (DESIGN.md §16) —
-/// TIER is the StrategyTier enum value (0 exact, 1 compiled-batch,
-/// 2 interpret, 3 poll) or 4 for a type whose tier is still unassigned
-/// (declared offline, no instance yet) — plus the demotion reason as a
-/// third length-prefixed block:
-///   type TID CACHEABLE SEEN CHECKS AFFECTED POLLS TOTAL_US MAX_US
-///        TIER NAMELEN TMPLLEN REASONLEN
-///        \n <name> \n <template> \n <reason> \n   (per type)
-/// Restore installs the persisted tier eagerly (InstallTier) so a
-/// StatsReport taken right after recovery prints the same census and
-/// per-type tiers the dead process would have — tiers are pinned, never
-/// re-derived from a possibly-drifted analyzer.
-///
-/// v1/v2 (legacy, still restorable): one `map_id N` line instead of the
-/// shards/shard_map_id block — shard count 1 assumed, the single cursor
-/// standing for the merged (minimum) position. On v1–v3 restore the
-/// cursors rewind to zero (those blobs carry no registry, so live map
-/// rows must re-register on the next scan).
-constexpr char kCheckpointMagicV1[] = "cacheportal-invalidator-checkpoint 1";
-constexpr char kCheckpointMagicV3[] = "cacheportal-invalidator-checkpoint 3";
-constexpr char kCheckpointMagicV4[] = "cacheportal-invalidator-checkpoint 4";
-constexpr char kCheckpointMagicV5[] = "cacheportal-invalidator-checkpoint 5";
+/// Snapshot and durable-delta layout (common/record_codec.h; DESIGN.md
+/// §18 lists every persisted blob). Positional, in this order:
+///   magic              "CPIS" snapshot / "CPID" delta
+///   update_seq         u64
+///   map cursors        count (>= 1) x u64, shard order
+///   type_counter       u64                              (snapshot only)
+///   lifetime counters  14 x u64, kLifetimeCounters order
+///   types              count x (type_id u64, cacheable flag,
+///                      6 x u64 statistics; snapshot only: tier u64,
+///                      name bytes, template bytes, reason bytes)
+///   instances          count x SQL bytes                (snapshot only)
+///   sinks              count x (index u64, state bytes), ascending index
+/// The snapshot carries every type and checkpointable sink; the delta
+/// only those that changed since the previous delta. The tier is the
+/// StrategyTier value (0 exact .. 3 poll), or kTierUnassigned for a type
+/// declared offline that has no instance yet.
+constexpr char kSnapshotMagic[] = "CPIS";
+constexpr char kDeltaMagic[] = "CPID";
 
-/// The TIER field's "no tier assigned yet" sentinel (valid tiers 0..3).
 constexpr uint64_t kTierUnassigned = 4;
 
-/// Per-cycle durable delta (the WAL commit record's payload): cursors,
-/// lifetime counters, and only the types/sinks that changed since the
-/// last delta. Same line grammar as v4 minus the registry blocks.
-constexpr char kDeltaMagicV1[] = "cacheportal-invalidator-delta 1";
+struct LifetimeCounter {
+  const char* name;
+  uint64_t InvalidatorStats::*field;
+};
+constexpr LifetimeCounter kLifetimeCounters[] = {
+    {"cycles", &InvalidatorStats::cycles},
+    {"updates_processed", &InvalidatorStats::updates_processed},
+    {"instances_registered", &InvalidatorStats::instances_registered},
+    {"instance_checks", &InvalidatorStats::instance_checks},
+    {"affected_immediately", &InvalidatorStats::affected_immediately},
+    {"unaffected", &InvalidatorStats::unaffected},
+    {"polls_issued", &InvalidatorStats::polls_issued},
+    {"polls_answered_by_index", &InvalidatorStats::polls_answered_by_index},
+    {"poll_hits", &InvalidatorStats::poll_hits},
+    {"conservative_invalidations",
+     &InvalidatorStats::conservative_invalidations},
+    {"emergency_flushes", &InvalidatorStats::emergency_flushes},
+    {"pages_invalidated", &InvalidatorStats::pages_invalidated},
+    {"messages_sent", &InvalidatorStats::messages_sent},
+    {"send_failures", &InvalidatorStats::send_failures},
+};
 
-std::string EncodeLifetimeStats(const InvalidatorStats& s) {
-  return StrCat(s.cycles, " ", s.updates_processed, " ",
-                s.instances_registered, " ", s.instance_checks, " ",
-                s.affected_immediately, " ", s.unaffected, " ",
-                s.polls_issued, " ", s.polls_answered_by_index, " ",
-                s.poll_hits, " ", s.conservative_invalidations, " ",
-                s.emergency_flushes, " ", s.pages_invalidated, " ",
-                s.messages_sent, " ", s.send_failures);
-}
+/// Bytes a type record takes at least: 8 u64 fields, plus in a snapshot
+/// the tier and three length prefixes.
+constexpr size_t kMinTypeRecord = 8 * 8;
+constexpr size_t kMinSnapshotTypeRecord = kMinTypeRecord + 8 + 3 * 4;
 
-/// Parses the 14 counters from `fields[offset..offset+13]`.
-Status ParseLifetimeStats(const std::vector<std::string>& fields,
-                          size_t offset, InvalidatorStats* out) {
-  uint64_t* slots[14] = {
-      &out->cycles,          &out->updates_processed,
-      &out->instances_registered, &out->instance_checks,
-      &out->affected_immediately, &out->unaffected,
-      &out->polls_issued,    &out->polls_answered_by_index,
-      &out->poll_hits,       &out->conservative_invalidations,
-      &out->emergency_flushes, &out->pages_invalidated,
-      &out->messages_sent,   &out->send_failures};
-  for (size_t i = 0; i < 14; ++i) {
-    Result<uint64_t> value = ParseUint64(fields[offset + i]);
-    if (!value.ok()) {
-      return Status::ParseError(
-          StrCat("bad lifetime counter: ", fields[offset + i]));
-    }
-    *slots[i] = *value;
+void PutTypeRecord(std::string* out, const QueryType& type) {
+  const QueryTypeStats& ts = type.stats;
+  for (uint64_t value :
+       {type.type_id, uint64_t{type.cacheable}, ts.instances_seen, ts.checks,
+        ts.affected, ts.polling_queries,
+        static_cast<uint64_t>(ts.total_invalidation_time),
+        static_cast<uint64_t>(ts.max_invalidation_time)}) {
+    PutFixed64(out, value);
   }
-  return Status::OK();
-}
-
-std::string EncodeTypeStats(const QueryTypeStats& ts) {
-  return StrCat(ts.instances_seen, " ", ts.checks, " ", ts.affected, " ",
-                ts.polling_queries, " ", ts.total_invalidation_time, " ",
-                ts.max_invalidation_time);
-}
-
-/// Parses CACHEABLE + the 6 type counters from `fields[offset..offset+6]`.
-Status ParseTypeStats(const std::vector<std::string>& fields, size_t offset,
-                      bool* cacheable, QueryTypeStats* out) {
-  Result<uint64_t> flag = ParseUint64(fields[offset]);
-  if (!flag.ok() || *flag > 1) {
-    return Status::ParseError(
-        StrCat("bad cacheability flag: ", fields[offset]));
-  }
-  *cacheable = (*flag == 1);
-  uint64_t values[6];
-  for (size_t i = 0; i < 6; ++i) {
-    Result<uint64_t> value = ParseUint64(fields[offset + 1 + i]);
-    if (!value.ok()) {
-      return Status::ParseError(
-          StrCat("bad type counter: ", fields[offset + 1 + i]));
-    }
-    values[i] = *value;
-  }
-  out->instances_seen = values[0];
-  out->checks = values[1];
-  out->affected = values[2];
-  out->polling_queries = values[3];
-  out->total_invalidation_time = static_cast<Micros>(values[4]);
-  out->max_invalidation_time = static_cast<Micros>(values[5]);
-  return Status::OK();
 }
 
 }  // namespace
+
+/// A decoded snapshot or delta, staged: nothing is applied until the
+/// whole blob has decoded. Views borrow from the blob.
+struct Invalidator::DecodedState {
+  struct Type {
+    uint64_t type_id = 0;
+    TypeOverride override_;
+    uint64_t tier = kTierUnassigned;
+    std::string_view name;
+    std::string_view tmpl;
+    std::string_view reason;
+  };
+  uint64_t update_seq = 0;
+  std::vector<uint64_t> cursors;
+  uint64_t type_counter = 0;
+  InvalidatorStats stats;
+  std::vector<Type> types;
+  std::vector<std::string_view> instances;
+  std::vector<std::pair<uint64_t, std::string_view>> sinks;
+};
 
 std::string Invalidator::Checkpoint() {
   // Staged restore work must land first or the snapshot would persist
   // half-restored state (types without their queued instances).
   ApplyPendingRestore();
-  std::vector<uint64_t> cursors = plane_.MapCursors();
-  std::string out = StrCat(kCheckpointMagicV5, "\n",
-                           "update_seq ", last_update_seq_, "\n",
-                           "shards ", cursors.size(), "\n");
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    out += StrCat("shard_map_id ", i, " ", cursors[i], "\n");
-  }
-  out += StrCat("type_counter ", plane_.TypeCount(), "\n");
-  out += StrCat("stats ", EncodeLifetimeStats(stats_), "\n");
-  // Snapshot before the walk: TierAssignments takes shard locks one at a
-  // time, the walk below holds them all.
-  std::map<uint64_t, TierDecision> tiers = plane_.TierAssignments();
-  plane_.ForEachType([&](const QueryType& type) {
-    auto tier_it = tiers.find(type.type_id);
-    uint64_t tier = tier_it != tiers.end()
-                        ? static_cast<uint64_t>(tier_it->second.tier)
-                        : kTierUnassigned;
-    const std::string reason =
-        tier_it != tiers.end() ? tier_it->second.reason : std::string();
-    out += StrCat("type ", type.type_id, " ", type.cacheable ? 1 : 0, " ",
-                  EncodeTypeStats(type.stats), " ", tier, " ",
-                  type.name.size(), " ", type.tmpl.canonical_text.size(), " ",
-                  reason.size(), "\n");
-    out += type.name;
-    out += "\n";
-    out += type.tmpl.canonical_text;
-    out += "\n";
-    out += reason;
-    out += "\n";
-  });
-  plane_.ForEachInstance([&](const QueryType&, const QueryInstance& instance) {
-    out += StrCat("instance ", instance.sql.size(), "\n");
-    out += instance.sql;
-    out += "\n";
-  });
-  for (size_t i = 0; i < sinks_.size(); ++i) {
-    const auto* durable = dynamic_cast<const CheckpointableSink*>(sinks_[i]);
-    if (durable == nullptr) continue;
-    std::string state = durable->CheckpointState();
-    out += StrCat("sink ", i, " ", state.size(), "\n");
-    out += state;
-    out += "\n";
-  }
-  out += "end\n";
-  return out;
-}
-
-Status Invalidator::Restore(const std::string& checkpoint) {
-  size_t pos = 0;
-  auto next_line = [&checkpoint, &pos]() -> std::optional<std::string> {
-    if (pos >= checkpoint.size()) return std::nullopt;
-    size_t nl = checkpoint.find('\n', pos);
-    if (nl == std::string::npos) nl = checkpoint.size();
-    std::string line = checkpoint.substr(pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  };
-
-  std::optional<std::string> magic = next_line();
-  if (!magic.has_value()) {
-    return Status::ParseError("not an invalidator checkpoint");
-  }
-  int version = 0;
-  if (*magic == kCheckpointMagicV1) {
-    version = 1;
-  } else if (*magic == kCheckpointMagicV3) {
-    version = 3;
-  } else if (*magic == kCheckpointMagicV4) {
-    version = 4;
-  } else if (*magic == kCheckpointMagicV5) {
-    version = 5;
-  } else {
-    return Status::ParseError("not an invalidator checkpoint");
-  }
-  // Reads a length-prefixed block (followed by a separator '\n') at the
-  // current position, for the v4 name/template/instance payloads and the
-  // sink states of every version.
-  auto next_block = [&checkpoint, &pos](uint64_t length,
-                                        std::string* out) -> bool {
-    if (pos + length > checkpoint.size()) return false;
-    *out = checkpoint.substr(pos, length);
-    pos += length + 1;
-    return true;
-  };
-  uint64_t update_seq = 0;
-  bool saw_update_seq = false;
-  bool saw_end = false;
-  std::optional<uint64_t> shard_count;
-  std::map<uint64_t, uint64_t> shard_cursors;
-  std::map<size_t, std::string> sink_states;
-  // v4 staging: nothing mutates until the whole blob validates.
-  std::optional<uint64_t> type_counter;
-  bool saw_stats = false;
-  InvalidatorStats staged_stats;
-  struct StagedType {
-    uint64_t type_id = 0;
-    TypeOverride override_;
-    uint64_t tier = kTierUnassigned;  // v4 blobs carry no tier.
-    std::string name;
-    std::string tmpl_text;
-    std::string tier_reason;
-  };
-  std::vector<StagedType> staged_types;
-  std::vector<std::string> staged_instances;
-  while (std::optional<std::string> line = next_line()) {
-    std::vector<std::string> fields = StrSplit(*line, ' ');
-    if (fields.empty() || fields[0].empty()) continue;
-    if (fields[0] == "end") {
-      saw_end = true;
-      break;
-    }
-    // All numeric fields parse strictly: a corrupt `update_seq` that
-    // strtoull would coerce to 0 must fail loudly, not silently rewind
-    // the cursor to the log's beginning (replaying every update), and a
-    // garbled sink index must not misassign durable sink state. Record
-    // types are version-gated: a v1 blob carrying shard records (or a v3
-    // blob carrying `map_id`) is corrupt, not merely old.
-    if (fields[0] == "update_seq" && fields.size() == 2) {
-      Result<uint64_t> seq = ParseUint64(fields[1]);
-      if (!seq.ok()) {
-        return Status::ParseError(StrCat("bad update_seq in checkpoint: ",
-                                         seq.status().message()));
-      }
-      update_seq = *seq;
-      saw_update_seq = true;
-    } else if (version == 1 && fields[0] == "map_id" && fields.size() == 2) {
-      // The value is unused (restore rescans the map from zero, see the
-      // header comment) but still validated: a garbled cursor means a
-      // garbled checkpoint.
-      Result<uint64_t> map_id = ParseUint64(fields[1]);
-      if (!map_id.ok()) {
-        return Status::ParseError(StrCat("bad map_id in checkpoint: ",
-                                         map_id.status().message()));
-      }
-    } else if (version >= 3 && fields[0] == "shards" && fields.size() == 2) {
-      Result<uint64_t> count = ParseUint64(fields[1]);
-      if (!count.ok() || *count == 0) {
-        return Status::ParseError(StrCat("bad shard count in checkpoint: ",
-                                         fields[1]));
-      }
-      shard_count = *count;
-    } else if (version >= 3 && fields[0] == "shard_map_id" &&
-               fields.size() == 3) {
-      Result<uint64_t> index = ParseUint64(fields[1]);
-      Result<uint64_t> cursor = ParseUint64(fields[2]);
-      if (!index.ok() || !cursor.ok()) {
-        return Status::ParseError(
-            StrCat("bad shard_map_id record in checkpoint: ", *line));
-      }
-      if (!shard_cursors.emplace(*index, *cursor).second) {
-        return Status::ParseError(
-            StrCat("duplicate shard_map_id record in checkpoint: ", *line));
-      }
-    } else if (version >= 4 && fields[0] == "type_counter" &&
-               fields.size() == 2) {
-      Result<uint64_t> count = ParseUint64(fields[1]);
-      if (!count.ok()) {
-        return Status::ParseError(
-            StrCat("bad type_counter in checkpoint: ", fields[1]));
-      }
-      type_counter = *count;
-    } else if (version >= 4 && fields[0] == "stats" && fields.size() == 15) {
-      CACHEPORTAL_RETURN_NOT_OK(ParseLifetimeStats(fields, 1, &staged_stats));
-      saw_stats = true;
-    } else if (fields[0] == "type" &&
-               ((version == 4 && fields.size() == 11) ||
-                (version >= 5 && fields.size() == 13))) {
-      // v4: type TID CACHEABLE <6 stats> NAMELEN TMPLLEN + 2 blocks.
-      // v5: type TID CACHEABLE <6 stats> TIER NAMELEN TMPLLEN REASONLEN
-      //     + 3 blocks (the third is the demotion reason, possibly empty).
-      StagedType staged;
-      size_t len_at = version >= 5 ? 10 : 9;
-      Result<uint64_t> tid = ParseUint64(fields[1]);
-      Result<uint64_t> name_len = ParseUint64(fields[len_at]);
-      Result<uint64_t> tmpl_len = ParseUint64(fields[len_at + 1]);
-      if (!tid.ok() || !name_len.ok() || !tmpl_len.ok()) {
-        return Status::ParseError(
-            StrCat("bad type record in checkpoint: ", *line));
-      }
-      staged.type_id = *tid;
-      CACHEPORTAL_RETURN_NOT_OK(ParseTypeStats(
-          fields, 2, &staged.override_.cacheable, &staged.override_.stats));
-      std::optional<uint64_t> reason_len;
-      if (version >= 5) {
-        Result<uint64_t> tier = ParseUint64(fields[9]);
-        Result<uint64_t> r_len = ParseUint64(fields[12]);
-        if (!tier.ok() || *tier > kTierUnassigned || !r_len.ok()) {
-          return Status::ParseError(
-              StrCat("bad type tier record in checkpoint: ", *line));
-        }
-        staged.tier = *tier;
-        reason_len = *r_len;
-      }
-      if (!next_block(*name_len, &staged.name) ||
-          !next_block(*tmpl_len, &staged.tmpl_text) ||
-          (reason_len.has_value() &&
-           !next_block(*reason_len, &staged.tier_reason))) {
-        return Status::ParseError("truncated type blocks in checkpoint");
-      }
-      // The template must still parse, and to the same identity: the
-      // type_id is the template hash, so a mismatch means the blob's
-      // bytes rotted (or the canonicalizer changed incompatibly) and the
-      // registry built from it would route instances to the wrong shard.
-      Result<sql::QueryTemplate> tmpl =
-          sql::ExtractTemplateFromSql(staged.tmpl_text);
-      if (!tmpl.ok()) {
-        return Status::ParseError(
-            StrCat("checkpoint template no longer parses: ",
-                   tmpl.status().message()));
-      }
-      if (tmpl->type_id != staged.type_id) {
-        return Status::ParseError(
-            StrCat("checkpoint template hashes to ", tmpl->type_id,
-                   " but the record claims ", staged.type_id));
-      }
-      staged_types.push_back(std::move(staged));
-    } else if (version >= 4 && fields[0] == "instance" && fields.size() == 2) {
-      Result<uint64_t> length = ParseUint64(fields[1]);
-      if (!length.ok()) {
-        return Status::ParseError(
-            StrCat("bad instance record in checkpoint: ", *line));
-      }
-      // Framing-only validation: the SQL is NOT parsed here — that cost
-      // is deferred to ApplyPendingRestore (the whole point of the lazy
-      // rebuild), which logs and skips unparseable entries the way the
-      // ingest scan does.
-      std::string sql;
-      if (!next_block(*length, &sql)) {
-        return Status::ParseError("truncated instance block in checkpoint");
-      }
-      staged_instances.push_back(std::move(sql));
-    } else if (fields[0] == "sink" && fields.size() == 3) {
-      Result<uint64_t> index = ParseUint64(fields[1]);
-      Result<uint64_t> length = ParseUint64(fields[2]);
-      if (!index.ok() || !length.ok()) {
-        return Status::ParseError(
-            StrCat("bad sink record in checkpoint: ", *line));
-      }
-      std::string state;
-      if (!next_block(*length, &state)) {
-        return Status::ParseError("truncated sink state in checkpoint");
-      }
-      sink_states[static_cast<size_t>(*index)] = std::move(state);
-    } else {
-      return Status::ParseError(StrCat("unknown checkpoint record: ", *line));
-    }
-  }
-  if (!saw_end || !saw_update_seq) {
-    return Status::ParseError("truncated invalidator checkpoint");
-  }
-  if (version >= 3) {
-    if (!shard_count.has_value()) {
-      return Status::ParseError("checkpoint missing shard count");
-    }
-    if (shard_cursors.size() != *shard_count) {
-      return Status::ParseError(
-          StrCat("checkpoint declares ", *shard_count, " shards but carries ",
-                 shard_cursors.size(), " cursors"));
-    }
-    for (const auto& [index, cursor] : shard_cursors) {
-      if (index >= *shard_count) {
-        return Status::ParseError(
-            StrCat("checkpoint shard cursor index ", index,
-                   " out of range (", *shard_count, " shards)"));
-      }
-    }
-    // A different live shard count is fine: v1–v3 rewind to zero anyway,
-    // and v4's SetMapCursors falls back to the minimum position when the
-    // counts differ — the persisted partitioning never constrains the
-    // new process's configuration.
-  }
-  if (version >= 4) {
-    if (!type_counter.has_value()) {
-      return Status::ParseError("checkpoint missing type_counter");
-    }
-    if (!saw_stats) {
-      return Status::ParseError("checkpoint missing lifetime counters");
-    }
-  }
-  // ---- Validation done; mutate. Sinks first (the only apply step that
-  // can fail), then the registry skeleton, then the scalar state. ----
-  for (const auto& [index, state] : sink_states) {
-    if (index >= sinks_.size()) {
-      return Status::InvalidArgument(
-          StrCat("checkpoint references sink ", index, " but only ",
-                 sinks_.size(), " sinks are attached"));
-    }
-    auto* durable = dynamic_cast<CheckpointableSink*>(sinks_[index]);
-    if (durable == nullptr) {
-      return Status::InvalidArgument(
-          StrCat("checkpoint has durable state for sink ", index,
-                 " but the attached sink is not checkpointable"));
-    }
-    CACHEPORTAL_RETURN_NOT_OK(durable->RestoreState(state));
-  }
-  if (version >= 4) {
-    // Rebuild every type eagerly — O(types), the cheap part — so
-    // cacheability verdicts and reports are right immediately. Instances
-    // (the O(N) parse cost) are queued for ApplyPendingRestore.
-    pending_restore_ops_.clear();
-    pending_type_overrides_.clear();
-    for (const StagedType& staged : staged_types) {
-      CACHEPORTAL_RETURN_NOT_OK(
-          plane_.RegisterType(staged.name, staged.tmpl_text));
-      plane_.WithShardOfType(staged.type_id, [&](MetadataPlane::Shard& shard) {
-        if (QueryType* type = shard.registry.FindType(staged.type_id)) {
-          type->cacheable = staged.override_.cacheable;
-        }
-      });
-      // Pin the persisted tier eagerly (before any instance re-registers)
-      // so the census and the next cycle's strategy dispatch match the
-      // dead process exactly — a re-derivation against drifted schema or
-      // analyzer behavior would be a silent strategy change on recovery.
-      if (staged.tier < kTierUnassigned) {
-        plane_.InstallTier(staged.type_id,
-                           static_cast<StrategyTier>(staged.tier),
-                           staged.tier_reason);
-      }
-      pending_type_overrides_[staged.type_id] = staged.override_;
-    }
-    // After the creations above, so the persisted counter (which already
-    // includes these types) wins and discovered-type naming continues
-    // where the dead process left off.
-    plane_.SetTypeCount(*type_counter);
-    pending_restore_ops_.reserve(staged_instances.size());
-    for (std::string& sql : staged_instances) {
-      pending_restore_ops_.push_back(RestoredOp{true, std::move(sql)});
-    }
-    stats_ = staged_stats;
-    std::vector<uint64_t> cursors;
-    cursors.reserve(shard_cursors.size());
-    for (const auto& [index, cursor] : shard_cursors) {
-      (void)index;
-      // Persisted map cursors are only meaningful against the map
-      // incarnation that wrote them. The sniffer's map is rebuilt from
-      // live traffic after a process restart, so its ids restart below
-      // the persisted positions — installing such a cursor verbatim
-      // would silently skip every re-sniffed row, and updates would
-      // never eject the re-cached pages. Clamp to the live tail: rows
-      // the map does hold stay consumed (the v4 no-rescan win for
-      // in-process restores), and a rebuilt map rescans from its start.
-      cursors.push_back(std::min(cursor, map_->LastId()));
-    }
-    plane_.SetMapCursors(cursors);
-  } else {
-    plane_.ResetMapCursors();
-  }
-  last_update_seq_ = update_seq;
-  last_map_epoch_.reset();  // Force the next cycle's map scan.
-  last_retire_epoch_.reset();  // ... and its retire sweep.
-  return Status::OK();
+  return EncodeState(nullptr);
 }
 
 std::string Invalidator::EncodeDurableDelta(DurableDeltaBaseline* baseline) {
+  return EncodeState(baseline);
+}
+
+std::string Invalidator::EncodeState(DurableDeltaBaseline* baseline) {
+  const bool snapshot = baseline == nullptr;
+  std::string out = snapshot ? kSnapshotMagic : kDeltaMagic;
+  PutFixed64(&out, last_update_seq_);
   std::vector<uint64_t> cursors = plane_.MapCursors();
-  std::string out = StrCat(kDeltaMagicV1, "\n",
-                           "update_seq ", last_update_seq_, "\n",
-                           "shards ", cursors.size(), "\n");
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    out += StrCat("shard_map_id ", i, " ", cursors[i], "\n");
+  PutFixed64(&out, cursors.size());
+  for (uint64_t cursor : cursors) PutFixed64(&out, cursor);
+  if (snapshot) PutFixed64(&out, plane_.TypeCount());
+  for (const LifetimeCounter& counter : kLifetimeCounters) {
+    PutFixed64(&out, stats_.*counter.field);
   }
-  out += StrCat("stats ", EncodeLifetimeStats(stats_), "\n");
+  // A list's length is known only after its walk: reserve the count,
+  // then patch it in.
+  auto begin_list = [&out] {
+    PutFixed64(&out, 0);
+    return out.size() - 8;
+  };
+  auto end_list = [&out](size_t at, uint64_t count) {
+    std::string fixed;
+    PutFixed64(&fixed, count);
+    out.replace(at, 8, fixed);
+  };
+  // Snapshot before the walk: TierAssignments takes shard locks one at a
+  // time, the walk below holds them all.
+  std::map<uint64_t, TierDecision> tiers;
+  if (snapshot) tiers = plane_.TierAssignments();
+  size_t at = begin_list();
+  uint64_t count = 0;
+  std::string record;
   plane_.ForEachType([&](const QueryType& type) {
-    std::string line =
-        StrCat("type ", type.type_id, " ", type.cacheable ? 1 : 0, " ",
-               EncodeTypeStats(type.stats), "\n");
-    auto it = baseline->type_lines.find(type.type_id);
-    if (it != baseline->type_lines.end() && it->second == line) return;
-    baseline->type_lines[type.type_id] = line;
-    out += line;
+    record.clear();
+    PutTypeRecord(&record, type);
+    if (snapshot) {
+      auto it = tiers.find(type.type_id);
+      const bool assigned = it != tiers.end();
+      PutFixed64(&record, assigned ? static_cast<uint64_t>(it->second.tier)
+                                   : kTierUnassigned);
+      PutLengthPrefixed(&record, type.name);
+      PutLengthPrefixed(&record, type.tmpl.canonical_text);
+      PutLengthPrefixed(&record, assigned ? it->second.reason : "");
+    } else {
+      std::string& last = baseline->type_records[type.type_id];
+      if (last == record) return;
+      last = record;
+    }
+    out += record;
+    ++count;
   });
+  end_list(at, count);
+  if (snapshot) {
+    at = begin_list();
+    count = 0;
+    plane_.ForEachInstance(
+        [&](const QueryType&, const QueryInstance& instance) {
+          PutLengthPrefixed(&out, instance.sql);
+          ++count;
+        });
+    end_list(at, count);
+  }
+  at = begin_list();
+  count = 0;
   for (size_t i = 0; i < sinks_.size(); ++i) {
     const auto* durable = dynamic_cast<const CheckpointableSink*>(sinks_[i]);
     if (durable == nullptr) continue;
     std::string state = durable->CheckpointState();
-    auto it = baseline->sink_states.find(i);
-    if (it != baseline->sink_states.end() && it->second == state) continue;
-    baseline->sink_states[i] = state;
-    out += StrCat("sink ", i, " ", state.size(), "\n");
-    out += state;
-    out += "\n";
+    if (!snapshot) {
+      std::string& last = baseline->sink_states[i];
+      if (last == state) continue;
+      last = state;
+    }
+    PutFixed64(&out, i);
+    PutLengthPrefixed(&out, state);
+    ++count;
   }
-  out += "end\n";
+  end_list(at, count);
   return out;
 }
 
-Status Invalidator::ApplyDurableDelta(const std::string& payload) {
-  size_t pos = 0;
-  auto next_line = [&payload, &pos]() -> std::optional<std::string> {
-    if (pos >= payload.size()) return std::nullopt;
-    size_t nl = payload.find('\n', pos);
-    if (nl == std::string::npos) nl = payload.size();
-    std::string line = payload.substr(pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  };
-  std::optional<std::string> magic = next_line();
-  if (!magic.has_value() || *magic != kDeltaMagicV1) {
-    return Status::ParseError("not an invalidator delta");
+Result<Invalidator::DecodedState> Invalidator::DecodeState(
+    std::string_view blob, bool snapshot) {
+  CACHEPORTAL_ASSIGN_OR_RETURN(
+      RecordReader r,
+      RecordReader::Open(blob, snapshot ? kSnapshotMagic : kDeltaMagic,
+                         snapshot ? "invalidator snapshot"
+                                  : "invalidator delta"));
+  DecodedState s;
+  CACHEPORTAL_ASSIGN_OR_RETURN(s.update_seq, r.U64("update_seq"));
+  CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t shards, r.Count("shard count", 8));
+  if (shards == 0) return r.Invalid("shard count", "zero shards");
+  s.cursors.resize(shards);
+  for (uint64_t& cursor : s.cursors) {
+    CACHEPORTAL_ASSIGN_OR_RETURN(cursor, r.U64("map cursor"));
   }
-  uint64_t update_seq = 0;
-  bool saw_update_seq = false;
-  bool saw_stats = false;
-  bool saw_end = false;
-  InvalidatorStats staged_stats;
-  std::optional<uint64_t> shard_count;
-  std::map<uint64_t, uint64_t> shard_cursors;
-  std::map<uint64_t, TypeOverride> staged_overrides;
-  std::map<size_t, std::string> sink_states;
-  while (std::optional<std::string> line = next_line()) {
-    std::vector<std::string> fields = StrSplit(*line, ' ');
-    if (fields.empty() || fields[0].empty()) continue;
-    if (fields[0] == "end") {
-      saw_end = true;
-      break;
+  if (snapshot) {
+    CACHEPORTAL_ASSIGN_OR_RETURN(s.type_counter, r.U64("type_counter"));
+  }
+  for (const LifetimeCounter& counter : kLifetimeCounters) {
+    CACHEPORTAL_ASSIGN_OR_RETURN(s.stats.*counter.field, r.U64(counter.name));
+  }
+  CACHEPORTAL_ASSIGN_OR_RETURN(
+      uint64_t num_types,
+      r.Count("type count", snapshot ? kMinSnapshotTypeRecord
+                                     : kMinTypeRecord));
+  s.types.resize(num_types);
+  for (DecodedState::Type& t : s.types) {
+    QueryTypeStats& ts = t.override_.stats;
+    CACHEPORTAL_ASSIGN_OR_RETURN(t.type_id, r.U64("type_id"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(t.override_.cacheable,
+                                 r.Flag("type cacheable"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(ts.instances_seen, r.U64("instances_seen"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(ts.checks, r.U64("type checks"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(ts.affected, r.U64("type affected"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(ts.polling_queries, r.U64("polling_queries"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t total_us, r.U64("total time"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t max_us, r.U64("max time"));
+    ts.total_invalidation_time = static_cast<Micros>(total_us);
+    ts.max_invalidation_time = static_cast<Micros>(max_us);
+    if (!snapshot) continue;
+    CACHEPORTAL_ASSIGN_OR_RETURN(t.tier, r.U64("type tier"));
+    if (t.tier > kTierUnassigned) {
+      return r.Invalid("type tier", StrCat("tier ", t.tier));
     }
-    if (fields[0] == "update_seq" && fields.size() == 2) {
-      Result<uint64_t> seq = ParseUint64(fields[1]);
-      if (!seq.ok()) {
-        return Status::ParseError(
-            StrCat("bad update_seq in delta: ", seq.status().message()));
-      }
-      update_seq = *seq;
-      saw_update_seq = true;
-    } else if (fields[0] == "shards" && fields.size() == 2) {
-      Result<uint64_t> count = ParseUint64(fields[1]);
-      if (!count.ok() || *count == 0) {
-        return Status::ParseError(
-            StrCat("bad shard count in delta: ", fields[1]));
-      }
-      shard_count = *count;
-    } else if (fields[0] == "shard_map_id" && fields.size() == 3) {
-      Result<uint64_t> index = ParseUint64(fields[1]);
-      Result<uint64_t> cursor = ParseUint64(fields[2]);
-      if (!index.ok() || !cursor.ok() ||
-          !shard_cursors.emplace(*index, *cursor).second) {
-        return Status::ParseError(
-            StrCat("bad shard_map_id record in delta: ", *line));
-      }
-    } else if (fields[0] == "stats" && fields.size() == 15) {
-      CACHEPORTAL_RETURN_NOT_OK(ParseLifetimeStats(fields, 1, &staged_stats));
-      saw_stats = true;
-    } else if (fields[0] == "type" && fields.size() == 9) {
-      Result<uint64_t> tid = ParseUint64(fields[1]);
-      if (!tid.ok()) {
-        return Status::ParseError(StrCat("bad type record in delta: ", *line));
-      }
-      TypeOverride override_;
+    CACHEPORTAL_ASSIGN_OR_RETURN(t.name, r.Bytes("type name"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(t.tmpl, r.Bytes("type template"));
+    CACHEPORTAL_ASSIGN_OR_RETURN(t.reason, r.Bytes("type demotion reason"));
+    // The template must still parse, and to the same identity: the
+    // type_id is the template hash, so a mismatch means the blob's bytes
+    // rotted (or the canonicalizer changed incompatibly) and the
+    // registry built from it would route instances to the wrong shard.
+    Result<sql::QueryTemplate> tmpl =
+        sql::ExtractTemplateFromSql(std::string(t.tmpl));
+    if (!tmpl.ok()) {
+      return r.Invalid("type template", tmpl.status().message());
+    }
+    if (tmpl->type_id != t.type_id) {
+      return r.Invalid("type template",
+                       StrCat("hashes to ", tmpl->type_id,
+                              " but the record claims ", t.type_id));
+    }
+  }
+  if (snapshot) {
+    // Framing only: the SQL is parsed lazily by ApplyPendingRestore,
+    // which logs and skips unparseable entries the way the ingest scan
+    // does.
+    CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t num_instances,
+                                 r.Count("instance count", 4));
+    s.instances.resize(num_instances);
+    for (std::string_view& sql : s.instances) {
+      CACHEPORTAL_ASSIGN_OR_RETURN(sql, r.Bytes("instance sql"));
+    }
+  }
+  CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t num_sinks,
+                               r.Count("sink count", 8 + 4));
+  s.sinks.resize(num_sinks);
+  for (size_t i = 0; i < s.sinks.size(); ++i) {
+    CACHEPORTAL_ASSIGN_OR_RETURN(s.sinks[i].first, r.U64("sink index"));
+    if (i > 0 && s.sinks[i].first <= s.sinks[i - 1].first) {
+      return r.Invalid("sink index", "duplicate or out of order");
+    }
+    CACHEPORTAL_ASSIGN_OR_RETURN(s.sinks[i].second, r.Bytes("sink state"));
+  }
+  CACHEPORTAL_RETURN_NOT_OK(r.Finish());
+  return s;
+}
+
+Status Invalidator::Restore(std::string_view checkpoint) {
+  CACHEPORTAL_ASSIGN_OR_RETURN(DecodedState state,
+                               DecodeState(checkpoint, /*snapshot=*/true));
+  return InstallState(state, /*snapshot=*/true);
+}
+
+Status Invalidator::ApplyDurableDelta(std::string_view payload) {
+  CACHEPORTAL_ASSIGN_OR_RETURN(DecodedState state,
+                               DecodeState(payload, /*snapshot=*/false));
+  return InstallState(state, /*snapshot=*/false);
+}
+
+Status Invalidator::InstallState(DecodedState& s, bool snapshot) {
+  // Sinks first: they are the only apply step that can fail, and every
+  // index must resolve before any of them restores.
+  std::vector<CheckpointableSink*> durable(s.sinks.size());
+  for (size_t i = 0; i < s.sinks.size(); ++i) {
+    const uint64_t index = s.sinks[i].first;
+    if (index < sinks_.size()) {
+      durable[i] = dynamic_cast<CheckpointableSink*>(sinks_[index]);
+    }
+    if (durable[i] == nullptr) {
+      return Status::InvalidArgument(
+          StrCat("persisted state names sink ", index,
+                 ", which is not an attached checkpointable sink (",
+                 sinks_.size(), " sinks attached)"));
+    }
+  }
+  for (size_t i = 0; i < s.sinks.size(); ++i) {
+    CACHEPORTAL_RETURN_NOT_OK(durable[i]->RestoreState(s.sinks[i].second));
+  }
+  if (snapshot) {
+    pending_restore_ops_.clear();
+    pending_type_overrides_.clear();
+  }
+  for (const DecodedState::Type& t : s.types) {
+    if (snapshot) {
+      // Every type rebuilds eagerly — O(types), the cheap part — so
+      // cacheability verdicts and reports are right immediately.
       CACHEPORTAL_RETURN_NOT_OK(
-          ParseTypeStats(fields, 2, &override_.cacheable, &override_.stats));
-      staged_overrides[*tid] = override_;
-    } else if (fields[0] == "sink" && fields.size() == 3) {
-      Result<uint64_t> index = ParseUint64(fields[1]);
-      Result<uint64_t> length = ParseUint64(fields[2]);
-      if (!index.ok() || !length.ok() ||
-          pos + *length > payload.size()) {
-        return Status::ParseError(
-            StrCat("bad sink record in delta: ", *line));
+          plane_.RegisterType(std::string(t.name), std::string(t.tmpl)));
+      // Pin the persisted tier before any instance re-registers, so the
+      // census and the next cycle's strategy dispatch match the dead
+      // process exactly — a re-derivation against drifted schema or
+      // analyzer behavior would be a silent strategy change on recovery.
+      if (t.tier < kTierUnassigned) {
+        plane_.InstallTier(t.type_id, static_cast<StrategyTier>(t.tier),
+                           std::string(t.reason));
       }
-      sink_states[static_cast<size_t>(*index)] = payload.substr(pos, *length);
-      pos += *length + 1;
-    } else {
-      return Status::ParseError(StrCat("unknown delta record: ", *line));
     }
-  }
-  if (!saw_end || !saw_update_seq || !saw_stats || !shard_count.has_value() ||
-      shard_cursors.size() != *shard_count) {
-    return Status::ParseError("truncated invalidator delta");
-  }
-  for (const auto& [index, cursor] : shard_cursors) {
-    if (index >= *shard_count) {
-      return Status::ParseError(
-          StrCat("delta shard cursor index ", index, " out of range"));
-    }
-  }
-  for (const auto& [index, state] : sink_states) {
-    if (index >= sinks_.size()) {
-      return Status::InvalidArgument(
-          StrCat("delta references sink ", index, " but only ",
-                 sinks_.size(), " sinks are attached"));
-    }
-    auto* durable = dynamic_cast<CheckpointableSink*>(sinks_[index]);
-    if (durable == nullptr) {
-      return Status::InvalidArgument(
-          StrCat("delta has durable state for sink ", index,
-                 " but the attached sink is not checkpointable"));
-    }
-    CACHEPORTAL_RETURN_NOT_OK(durable->RestoreState(state));
-  }
-  for (const auto& [tid, override_] : staged_overrides) {
     // Cacheability applies eagerly when the type already exists (verdict
     // queries don't wait for the next cycle); statistics are staged
     // behind the pending ops either way — the type may itself still be a
     // queued registration, and re-registration bumps must not survive.
-    plane_.WithShardOfType(tid, [&](MetadataPlane::Shard& shard) {
-      if (QueryType* type = shard.registry.FindType(tid)) {
-        type->cacheable = override_.cacheable;
+    plane_.WithShardOfType(t.type_id, [&](MetadataPlane::Shard& shard) {
+      if (QueryType* type = shard.registry.FindType(t.type_id)) {
+        type->cacheable = t.override_.cacheable;
       }
     });
-    pending_type_overrides_[tid] = override_;
+    pending_type_overrides_[t.type_id] = t.override_;
   }
-  stats_ = staged_stats;
-  std::vector<uint64_t> cursors;
-  cursors.reserve(shard_cursors.size());
-  for (const auto& [index, cursor] : shard_cursors) {
-    (void)index;
-    // Same clamp as Restore: a replayed commit delta's cursors came from
-    // the dead process's map incarnation; never install one beyond the
-    // live map's last assigned id or re-sniffed rows would be skipped.
-    cursors.push_back(std::min(cursor, map_->LastId()));
+  if (snapshot) {
+    // After the creations above, so the persisted counter (which already
+    // includes these types) wins and discovered-type naming continues
+    // where the dead process left off. Instances (the O(N) parse cost)
+    // are queued for ApplyPendingRestore.
+    plane_.SetTypeCount(s.type_counter);
+    pending_restore_ops_.reserve(s.instances.size());
+    for (std::string_view sql : s.instances) {
+      pending_restore_ops_.push_back(RestoredOp{true, std::string(sql)});
+    }
   }
-  plane_.SetMapCursors(cursors);
-  last_update_seq_ = update_seq;
-  last_map_epoch_.reset();
-  last_retire_epoch_.reset();
+  stats_ = s.stats;
+  // Persisted map cursors are only meaningful against the map
+  // incarnation that wrote them. The sniffer's map is rebuilt from live
+  // traffic after a process restart, so its ids restart below the
+  // persisted positions — installing such a cursor verbatim would
+  // silently skip every re-sniffed row, and updates would never eject
+  // the re-cached pages. Clamp to the live tail: rows the map does hold
+  // stay consumed (no rescan for in-process restores), and a rebuilt map
+  // rescans from its start.
+  const uint64_t live_tail = map_->LastId();
+  for (uint64_t& cursor : s.cursors) cursor = std::min(cursor, live_tail);
+  plane_.SetMapCursors(s.cursors);
+  last_update_seq_ = s.update_seq;
+  last_map_epoch_.reset();     // Force the next cycle's map scan.
+  last_retire_epoch_.reset();  // ... and its retire sweep.
   return Status::OK();
 }
 

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -108,52 +109,50 @@ class Invalidator {
   /// consumers are past it too.
   uint64_t consumed_update_seq() const { return last_update_seq_; }
 
-  /// Serializes the invalidator's full resumption state (checkpoint v5,
-  /// the durable store's snapshot payload): the consumed update-log
-  /// position, the per-shard QI/URL-map cursors, the lifetime counters,
-  /// every query type (name + canonical template + statistics +
-  /// cacheability + strategy tier), every live instance's SQL, and each
-  /// CheckpointableSink's durable state (un-acked delivery-queue
-  /// messages). Folds any pending restore ops in first. After a crash,
-  /// build a fresh Invalidator (same database/map, sinks re-added in the
-  /// same order) and Restore() to resume without missing an update.
+  /// Serializes the invalidator's full resumption state — the durable
+  /// store's snapshot payload, in the record codec (DESIGN.md §18): the
+  /// consumed update-log position, the per-shard QI/URL-map cursors, the
+  /// lifetime counters, every query type (name + canonical template +
+  /// statistics + cacheability + strategy tier), every live instance's
+  /// SQL, and each CheckpointableSink's durable state (un-acked
+  /// delivery-queue messages). Folds any pending restore ops in first.
+  /// After a crash, build a fresh Invalidator (same database/map, sinks
+  /// re-added in the same order) and Restore() to resume without missing
+  /// an update.
   std::string Checkpoint();
 
-  /// Rebuilds resumption state from Checkpoint() output — the current v5
-  /// format or a legacy v1–v4 blob. The update-log cursor rewinds to
-  /// the persisted position, so updates that committed after the
-  /// checkpoint (including during the outage) are replayed — at least
-  /// once, made safe by idempotent ejects.
+  /// Rebuilds resumption state from Checkpoint() output. Any other bytes,
+  /// including the retired text checkpoint formats, are a ParseError, and
+  /// a blob that fails to decode changes nothing. The update-log cursor
+  /// rewinds to the persisted position, so updates that committed after
+  /// the checkpoint (including during the outage) are replayed — at
+  /// least once, made safe by idempotent ejects.
   ///
-  /// v5 additionally pins each type's persisted strategy tier
+  /// Each type's persisted strategy tier is pinned
   /// (MetadataPlane::InstallTier) before any instance re-registers, so
-  /// the strategy census and dispatch match the dead process exactly;
-  /// v4 blobs carry no tiers, so restored types re-derive them at their
-  /// first instance registration.
-  ///
-  /// v4/v5 restore the registry WITHOUT the O(N) parse cost up front:
-  /// types, statistics, and cursors rebuild eagerly (cursors restore to
-  /// their persisted positions — no map rescan), while instance SQLs are
-  /// queued and re-registered lazily by ApplyPendingRestore() (run
-  /// automatically at the next cycle) — restart-to-ready is O(types),
-  /// not O(instances). v1–v3 keep their historical semantics: map
-  /// cursors rewind to zero and live map rows re-register on the next
-  /// scan.
-  Status Restore(const std::string& checkpoint);
+  /// the strategy census and dispatch match the dead process exactly.
+  /// The registry restores WITHOUT the O(N) parse cost up front: types,
+  /// statistics, and cursors rebuild eagerly (cursors clamp to the live
+  /// map's LastId(), so a map rebuilt from traffic rescans from its
+  /// start), while instance SQLs are queued and re-registered lazily by
+  /// ApplyPendingRestore() (run automatically at the next cycle) —
+  /// restart-to-ready is O(types), not O(instances).
+  Status Restore(std::string_view checkpoint);
 
   // ---- Durability seams (storage::DurableMetadataStore wiring). ----
 
   /// Change detector state for EncodeDurableDelta: what the last emitted
   /// delta said, so unchanged types/sinks are skipped.
   struct DurableDeltaBaseline {
-    std::map<uint64_t, std::string> type_lines;
+    std::map<uint64_t, std::string> type_records;
     std::map<size_t, std::string> sink_states;
   };
 
   /// Serializes the per-cycle durable delta — the commit record's
-  /// payload: the consumed update-log position, the map cursors, the
-  /// absolute lifetime counters, and only the types/sinks whose state
-  /// changed since `baseline` (which is updated in place). O(active
+  /// payload, the snapshot's layout minus the registry: the consumed
+  /// update-log position, the map cursors, the absolute lifetime
+  /// counters, and only the types/sinks whose state changed since
+  /// `baseline` (which is updated in place). O(active
   /// types + changed sinks) — flat in the instance count, which is what
   /// keeps commit cost and recovery O(delta).
   std::string EncodeDurableDelta(DurableDeltaBaseline* baseline);
@@ -162,7 +161,8 @@ class Invalidator {
   /// and sink states apply immediately; per-type statistics are staged
   /// with the pending restore ops (their types may themselves still be
   /// queued) and land in ApplyPendingRestore().
-  Status ApplyDurableDelta(const std::string& payload);
+  /// Validate-then-mutate, like Restore.
+  Status ApplyDurableDelta(std::string_view payload);
 
   /// Recovery replay: stages a registration/retirement recovered from
   /// the WAL, in order, without the parse cost of applying it now.
@@ -217,6 +217,18 @@ class Invalidator {
   std::string StatsReport() const;
 
  private:
+  struct DecodedState;
+
+  /// The one writer and one reader of the snapshot and delta layouts; a
+  /// null `baseline` selects the snapshot.
+  std::string EncodeState(DurableDeltaBaseline* baseline);
+  static Result<DecodedState> DecodeState(std::string_view blob,
+                                          bool snapshot);
+  /// Applies a fully decoded blob: sink states, the registry (snapshot)
+  /// or per-type overrides (delta), counters, clamped map cursors and the
+  /// update-log position.
+  Status InstallState(DecodedState& state, bool snapshot);
+
   /// The borrowed-component bundle the stages run against.
   StageEnv MakeStageEnv();
 

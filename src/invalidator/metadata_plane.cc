@@ -303,13 +303,6 @@ std::vector<uint64_t> MetadataPlane::MapCursors() const {
   return out;
 }
 
-void MetadataPlane::ResetMapCursors() {
-  for (const auto& slot : shards_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->shard.map_cursor = 0;
-  }
-}
-
 void MetadataPlane::SetMapCursors(const std::vector<uint64_t>& cursors) {
   if (cursors.size() == shards_.size()) {
     for (size_t i = 0; i < shards_.size(); ++i) {

@@ -158,13 +158,11 @@ class MetadataPlane {
   /// Advances every cursor to at least `id` (the ingest scan absorbed
   /// rows up to `id` for all shards).
   void AdvanceMapCursors(uint64_t id);
-  /// Snapshot of all cursors, shard order — checkpoint v3's payload.
+  /// Snapshot of all cursors, shard order — persisted in the snapshot
+  /// and every durable delta.
   std::vector<uint64_t> MapCursors() const;
-  /// Rewinds every cursor to zero (restore: the in-memory registry died
-  /// with the old process; re-registering live map rows is idempotent).
-  void ResetMapCursors();
-  /// Restores persisted cursor positions (checkpoint v4, whose snapshot
-  /// carries the full registry — no rescan needed). With a matching
+  /// Restores persisted cursor positions (the snapshot carries the full
+  /// registry, so no rescan is needed). With a matching
   /// shard count the positions restore exactly; otherwise every cursor
   /// rewinds to the minimum (re-scanning some rows, which registration
   /// idempotency absorbs).

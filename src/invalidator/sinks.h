@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -99,8 +100,9 @@ class CheckpointableSink {
   /// Serializes the sink's durable state (opaque bytes).
   virtual std::string CheckpointState() const = 0;
 
-  /// Rebuilds state from CheckpointState() output.
-  virtual Status RestoreState(const std::string& state) = 0;
+  /// Rebuilds state from CheckpointState() output. A state that fails to
+  /// decode must leave the sink untouched.
+  virtual Status RestoreState(std::string_view state) = 0;
 };
 
 }  // namespace cacheportal::invalidator

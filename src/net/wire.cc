@@ -179,39 +179,4 @@ uint64_t ResumeLedger::last_applied(uint64_t epoch) const {
   return it == entries_.end() ? 0 : it->second;
 }
 
-std::string ResumeLedger::Encode() const {
-  std::string out = "resume-ledger 1\n";
-  for (const auto& [epoch, seq] : entries_) {
-    out += StrCat(epoch, " ", seq, "\n");
-  }
-  out += "end\n";
-  return out;
-}
-
-Result<ResumeLedger> ResumeLedger::Decode(const std::string& bytes) {
-  std::vector<std::string> lines = StrSplit(bytes, '\n');
-  if (lines.empty() || lines[0] != "resume-ledger 1") {
-    return Status::ParseError("not a resume-ledger blob");
-  }
-  ResumeLedger ledger;
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      saw_end = true;
-      break;
-    }
-    std::vector<std::string> fields = StrSplit(lines[i], ' ');
-    if (fields.size() != 2) {
-      return Status::ParseError(
-          StrCat("corrupt resume-ledger line: ", lines[i]));
-    }
-    CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t epoch, ParseUint64(fields[0]));
-    CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t seq, ParseUint64(fields[1]));
-    ledger.entries_[epoch] = seq;
-  }
-  if (!saw_end) return Status::ParseError("truncated resume-ledger blob");
-  return ledger;
-}
-
 }  // namespace cacheportal::net

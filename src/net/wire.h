@@ -150,8 +150,9 @@ Result<std::vector<std::string_view>> ParseEjectBatchPayload(
 /// session epoch. At-least-once delivery means replays are normal (ack
 /// lost, client resends); the ledger makes applies exactly-once per
 /// (epoch, seq) — a replayed seq is acked without re-applying. The
-/// ledger round-trips through Encode/Decode so a cache process can
-/// persist it and resume dedup across a restart.
+/// ledger is not persisted: a cache process that resumes dedup across a
+/// restart rebuilds it with Admit from its own applied-seq record (see
+/// tools/cache_node).
 class ResumeLedger {
  public:
   enum class Verdict { kApply, kDuplicate };
@@ -164,9 +165,6 @@ class ResumeLedger {
   uint64_t last_applied(uint64_t epoch) const;
 
   const std::map<uint64_t, uint64_t>& entries() const { return entries_; }
-
-  std::string Encode() const;
-  static Result<ResumeLedger> Decode(const std::string& bytes);
 
  private:
   std::map<uint64_t, uint64_t> entries_;  // epoch -> highest applied seq.

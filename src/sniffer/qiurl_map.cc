@@ -1,42 +1,9 @@
 #include "sniffer/qiurl_map.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
-#include "common/strings.h"
-#include "sniffer/log_io.h"
-
 namespace cacheportal::sniffer {
-
-QiUrlMap::QiUrlMap(QiUrlMap&& other) noexcept {
-  entries_ = std::move(other.entries_);
-  pair_index_ = std::move(other.pair_index_);
-  by_query_ = std::move(other.by_query_);
-  by_page_ = std::move(other.by_page_);
-  next_id_ = other.next_id_;
-  epoch_.store(other.epoch_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  removals_epoch_.store(other.removals_epoch_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-}
-
-QiUrlMap& QiUrlMap::operator=(QiUrlMap&& other) noexcept {
-  if (this != &other) {
-    entries_ = std::move(other.entries_);
-    pair_index_ = std::move(other.pair_index_);
-    by_query_ = std::move(other.by_query_);
-    by_page_ = std::move(other.by_page_);
-    next_id_ = other.next_id_;
-    epoch_.store(other.epoch_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    removals_epoch_.store(
-        other.removals_epoch_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  return *this;
-}
 
 uint64_t QiUrlMap::Add(const std::string& query_sql,
                        const std::string& page_key,
@@ -140,54 +107,6 @@ size_t QiUrlMap::size() const {
 uint64_t QiUrlMap::LastId() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return next_id_ - 1;
-}
-
-std::string QiUrlMap::Serialize() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::string out;
-  for (const auto& [id, entry] : entries_) {
-    out += StrCat("M\t", entry.id, "\t", EscapeLogField(entry.query_sql),
-                  "\t", EscapeLogField(entry.page_key), "\t",
-                  EscapeLogField(entry.request_string), "\t",
-                  entry.timestamp, "\n");
-  }
-  return out;
-}
-
-Result<QiUrlMap> QiUrlMap::Deserialize(const std::string& text) {
-  QiUrlMap map;  // Local until returned: no locking needed.
-  for (const std::string& line : StrSplit(text, '\n')) {
-    if (line.empty()) continue;
-    std::vector<std::string> fields = StrSplit(line, '\t');
-    if (fields.size() != 6 || fields[0] != "M") {
-      return Status::ParseError(StrCat("malformed QI/URL map line: ", line));
-    }
-    // IDs restore verbatim (strictly parsed — a silently coerced 0 would
-    // shadow every consumer cursor). Re-numbering them densely, as an
-    // earlier version did, invisibly invalidated consumers' ReadSince
-    // cursors: a cursor taken against the old numbering could replay
-    // already-consumed rows or, worse, skip never-seen ones.
-    Result<uint64_t> id = ParseUint64(fields[1]);
-    if (!id.ok() || *id == 0) {
-      return Status::ParseError(StrCat("bad QI/URL map row id: ", line));
-    }
-    QiUrlEntry entry;
-    entry.id = *id;
-    entry.query_sql = UnescapeLogField(fields[2]);
-    entry.page_key = UnescapeLogField(fields[3]);
-    entry.request_string = UnescapeLogField(fields[4]);
-    entry.timestamp = std::strtoll(fields[5].c_str(), nullptr, 10);
-    auto pair_key = std::make_pair(entry.query_sql, entry.page_key);
-    if (!map.entries_.emplace(*id, entry).second ||
-        !map.pair_index_.emplace(pair_key, *id).second) {
-      return Status::ParseError(
-          StrCat("duplicate QI/URL map row: ", line));
-    }
-    map.by_query_[entry.query_sql].insert(entry.page_key);
-    map.by_page_[entry.page_key].insert(entry.query_sql);
-    map.next_id_ = std::max(map.next_id_, *id + 1);
-  }
-  return map;
 }
 
 }  // namespace cacheportal::sniffer

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/status.h"
 
 namespace cacheportal::sniffer {
 
@@ -40,10 +39,6 @@ class QiUrlMap {
 
   QiUrlMap(const QiUrlMap&) = delete;
   QiUrlMap& operator=(const QiUrlMap&) = delete;
-  // Moves exist for Result<QiUrlMap> (Deserialize); they are NOT
-  // concurrency-safe — move only before publishing the map to threads.
-  QiUrlMap(QiUrlMap&& other) noexcept;
-  QiUrlMap& operator=(QiUrlMap&& other) noexcept;
 
   /// Adds a mapping; returns the row ID (existing ID if deduplicated).
   uint64_t Add(const std::string& query_sql, const std::string& page_key,
@@ -87,16 +82,6 @@ class QiUrlMap {
   uint64_t removals_epoch() const {
     return removals_epoch_.load(std::memory_order_acquire);
   }
-
-  /// Serializes all rows to the sniffer's line format (see log_io.h); the
-  /// invalidator machine can persist its view of the map across restarts.
-  std::string Serialize() const;
-
-  /// Rebuilds a map from Serialize() output. Row IDs and the ID counter
-  /// are preserved, so a consumer's ReadSince cursor taken against the
-  /// serialized map stays valid against the restored one: rows it had
-  /// consumed stay consumed, rows it hadn't are still above the cursor.
-  static Result<QiUrlMap> Deserialize(const std::string& text);
 
  private:
   mutable std::shared_mutex mu_;

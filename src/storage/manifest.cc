@@ -1,101 +1,66 @@
 #include "storage/manifest.h"
 
-#include <optional>
-#include <vector>
-
 #include "common/file_util.h"
+#include "common/record_codec.h"
 #include "common/strings.h"
 
 namespace cacheportal::storage {
 
 namespace {
 
-/// Line format, guarded by a trailing CRC over everything before it:
-///   cacheportal-manifest 1
-///   snapshot <file name, or "-" for none>
-///   snapshot_size N
-///   snapshot_crc C
-///   wal_start K
-///   crc C
-constexpr char kManifestMagic[] = "cacheportal-manifest 1";
+/// Layout (common/record_codec.h): magic, snapshot file name bytes ("" =
+/// none), snapshot_size u64, snapshot_crc u64 (< 2^32), wal_start u64
+/// (>= 1), next_seq u64; then a fixed32 CRC over everything before it.
+constexpr char kManifestMagic[] = "CPMF";
 
 }  // namespace
 
+std::string EncodeManifest(const Manifest& manifest) {
+  std::string out = kManifestMagic;
+  PutLengthPrefixed(&out, manifest.snapshot_file);
+  PutFixed64(&out, manifest.snapshot_size);
+  PutFixed64(&out, manifest.snapshot_crc);
+  PutFixed64(&out, manifest.wal_start);
+  PutFixed64(&out, manifest.next_seq);
+  PutFixed32(&out, Crc32(out));
+  return out;
+}
+
+Result<Manifest> DecodeManifest(std::string_view bytes) {
+  // Verify the trailing CRC first: any flip anywhere in the file is one
+  // detectable failure, not five.
+  if (bytes.size() < 4) return Status::ParseError("manifest missing crc");
+  std::string_view body = bytes.substr(0, bytes.size() - 4);
+  if (GetFixed32(bytes.data() + body.size()) != Crc32(body)) {
+    return Status::ParseError("manifest crc mismatch");
+  }
+  CACHEPORTAL_ASSIGN_OR_RETURN(
+      RecordReader r, RecordReader::Open(body, kManifestMagic, "manifest"));
+  Manifest out;
+  CACHEPORTAL_ASSIGN_OR_RETURN(std::string_view file, r.Bytes("snapshot"));
+  out.snapshot_file = file;
+  CACHEPORTAL_ASSIGN_OR_RETURN(out.snapshot_size, r.U64("snapshot_size"));
+  CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t crc, r.U64("snapshot_crc"));
+  if (crc > UINT32_MAX) return r.Invalid("snapshot_crc", "exceeds 32 bits");
+  out.snapshot_crc = static_cast<uint32_t>(crc);
+  CACHEPORTAL_ASSIGN_OR_RETURN(out.wal_start, r.U64("wal_start"));
+  if (out.wal_start == 0) return r.Invalid("wal_start", "zero");
+  CACHEPORTAL_ASSIGN_OR_RETURN(out.next_seq, r.U64("next_seq"));
+  CACHEPORTAL_RETURN_NOT_OK(r.Finish());
+  return out;
+}
+
 Status WriteManifest(Env* env, const std::string& dir,
                      const Manifest& manifest) {
-  std::string body = StrCat(
-      kManifestMagic, "\n",
-      "snapshot ",
-      manifest.snapshot_file.empty() ? "-" : manifest.snapshot_file, "\n",
-      "snapshot_size ", manifest.snapshot_size, "\n",
-      "snapshot_crc ", manifest.snapshot_crc, "\n",
-      "wal_start ", manifest.wal_start, "\n",
-      "next_seq ", manifest.next_seq, "\n");
-  std::string contents = StrCat(body, "crc ", Crc32(body), "\n");
   return AtomicFileWriter::Write(env, StrCat(dir, "/", kManifestFileName),
-                                 contents);
+                                 EncodeManifest(manifest));
 }
 
 Result<Manifest> ReadManifest(Env* env, const std::string& dir) {
-  std::string path = StrCat(dir, "/", kManifestFileName);
-  Result<std::string> content = env->ReadFile(path);
+  Result<std::string> content =
+      env->ReadFile(StrCat(dir, "/", kManifestFileName));
   if (!content.ok()) return content.status();
-
-  // Split off the trailing "crc N" line and verify it first: any flip
-  // anywhere in the file is one detectable failure, not five.
-  size_t crc_line = content->rfind("crc ");
-  if (crc_line == std::string::npos || crc_line == 0 ||
-      (*content)[crc_line - 1] != '\n') {
-    return Status::ParseError("manifest missing crc line");
-  }
-  std::string body = content->substr(0, crc_line);
-  std::vector<std::string> crc_fields =
-      StrSplit(StrSplit(content->substr(crc_line), '\n')[0], ' ');
-  if (crc_fields.size() != 2) {
-    return Status::ParseError("malformed manifest crc line");
-  }
-  CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t stored_crc, ParseUint64(crc_fields[1]));
-  if (stored_crc != Crc32(body)) {
-    return Status::ParseError("manifest crc mismatch");
-  }
-
-  std::vector<std::string> lines = StrSplit(body, '\n');
-  if (lines.empty() || lines[0] != kManifestMagic) {
-    return Status::ParseError("not a cacheportal manifest");
-  }
-  Manifest out;
-  bool saw_snapshot = false, saw_size = false, saw_crc = false,
-       saw_start = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    std::vector<std::string> fields = StrSplit(lines[i], ' ');
-    if (fields.size() != 2) {
-      return Status::ParseError(StrCat("malformed manifest line: ", lines[i]));
-    }
-    if (fields[0] == "snapshot") {
-      out.snapshot_file = fields[1] == "-" ? "" : fields[1];
-      saw_snapshot = true;
-    } else if (fields[0] == "snapshot_size") {
-      CACHEPORTAL_ASSIGN_OR_RETURN(out.snapshot_size, ParseUint64(fields[1]));
-      saw_size = true;
-    } else if (fields[0] == "snapshot_crc") {
-      CACHEPORTAL_ASSIGN_OR_RETURN(uint64_t crc, ParseUint64(fields[1]));
-      out.snapshot_crc = static_cast<uint32_t>(crc);
-      saw_crc = true;
-    } else if (fields[0] == "wal_start") {
-      CACHEPORTAL_ASSIGN_OR_RETURN(out.wal_start, ParseUint64(fields[1]));
-      saw_start = true;
-    } else if (fields[0] == "next_seq") {
-      CACHEPORTAL_ASSIGN_OR_RETURN(out.next_seq, ParseUint64(fields[1]));
-    } else {
-      return Status::ParseError(StrCat("unknown manifest record: ", lines[i]));
-    }
-  }
-  if (!saw_snapshot || !saw_size || !saw_crc || !saw_start ||
-      out.wal_start == 0) {
-    return Status::ParseError("incomplete manifest");
-  }
-  return out;
+  return DecodeManifest(*content);
 }
 
 }  // namespace cacheportal::storage

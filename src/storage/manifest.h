@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/env.h"
 #include "common/status.h"
@@ -33,6 +34,12 @@ struct Manifest {
 
 /// Serialized name inside the store directory.
 inline constexpr char kManifestFileName[] = "MANIFEST";
+
+/// The MANIFEST file's bytes (record codec plus a trailing CRC32,
+/// DESIGN.md §18) and their strict inverse: ParseError on any corruption,
+/// truncation, trailing byte or foreign format.
+std::string EncodeManifest(const Manifest& manifest);
+Result<Manifest> DecodeManifest(std::string_view bytes);
 
 /// Atomically (re)writes `dir`/MANIFEST.
 Status WriteManifest(Env* env, const std::string& dir,

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "invalidator/baseline.h"
 #include "invalidator/invalidator.h"
 #include "sniffer/qiurl_map.h"
-#include "sql/template.h"
 
 namespace cacheportal::invalidator {
 namespace {
@@ -90,111 +88,13 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsGarbage) {
   EXPECT_TRUE(inv.Restore(good).ok());
 }
 
-/// Regression for a silent-corruption bug: numeric checkpoint fields
-/// were parsed with bare strtoull, so a corrupt `update_seq xyz` line
-/// "restored" sequence 0 — rewinding the cursor to the log's beginning
-/// and replaying every update ever committed. Corruption must be a loud
-/// ParseError, and a failed Restore must leave the invalidator's state
-/// untouched.
-TEST(InvalidatorCheckpointTest, RestoreRejectsCorruptNumericFields) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-  sniffer::QiUrlMap map;
-  Invalidator inv(&db, &map, &clock);
-  inv.RunCycle().value();
-  const uint64_t seq_before = inv.consumed_update_seq();
-  ASSERT_GT(seq_before, 0u);
-  const std::string good = inv.Checkpoint();
-  ASSERT_NE(good.find(StrCat("update_seq ", seq_before)), std::string::npos);
-
-  auto corrupt = [&good](const std::string& from, const std::string& to) {
-    std::string bad = good;
-    size_t at = bad.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    bad.replace(at, from.size(), to);
-    return bad;
-  };
-  const std::string seq_line = StrCat("update_seq ", seq_before);
-  const std::vector<std::string> corrupted = {
-      corrupt(seq_line, "update_seq xyz"),
-      corrupt(seq_line, "update_seq 18446744073709551616"),  // 2^64.
-      corrupt(seq_line, "update_seq -3"),
-      corrupt(seq_line, StrCat("update_seq ", seq_before, "junk")),
-      // v3 shard records: garbled count, zero shards, non-numeric cursor
-      // index, duplicate cursor (which also breaks the declared count),
-      // and a count that disagrees with the cursor lines present.
-      corrupt("shards 4", "shards foo"),
-      corrupt("shards 4", "shards 0"),
-      corrupt("shard_map_id 0", "shard_map_id x"),
-      corrupt("shard_map_id 1", "shard_map_id 0"),
-      corrupt("shards 4", "shards 5"),
-      // Record types are version-gated: a v1-only `map_id` line inside a
-      // v3 blob is corruption, not nostalgia.
-      corrupt(seq_line, StrCat(seq_line, "\nmap_id 0")),
-      corrupt(seq_line, StrCat(seq_line, "\nsink x 5")),
-      corrupt(seq_line, StrCat(seq_line, "\nsink 0 abc")),
-  };
-  for (const std::string& bad : corrupted) {
-    Status status = inv.Restore(bad);
-    EXPECT_TRUE(status.IsParseError()) << status.ToString() << "\n" << bad;
-    // The failed restore must not have moved the cursor (in particular
-    // not to 0, which would replay the whole log).
-    EXPECT_EQ(inv.consumed_update_seq(), seq_before);
-  }
-  EXPECT_TRUE(inv.Restore(good).ok());
-  EXPECT_EQ(inv.consumed_update_seq(), seq_before);
-}
-
-/// A v1 checkpoint written before the metadata plane was sharded (single
-/// `map_id` cursor, no shard records) must still restore — deployments
-/// upgrade across the format change with their persisted state intact.
-TEST(InvalidatorCheckpointTest, LegacyV1CheckpointStillRestores) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  sniffer::QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
-
-  RecordingSink sink;
-  Invalidator inv(&db, &map, &clock);
-  inv.AddSink(&sink);
-  inv.RunCycle().value();
-  const uint64_t seq = inv.consumed_update_seq();
-
-  // The exact bytes the pre-v3 writer produced (no checkpointable sink).
-  const std::string legacy = StrCat("cacheportal-invalidator-checkpoint 1\n",
-                                    "update_seq ", seq, "\n",
-                                    "map_id ", map.LastId(), "\n", "end\n");
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-
-  Invalidator inv2(&db, &map, &clock);
-  inv2.AddSink(&sink);
-  ASSERT_TRUE(inv2.Restore(legacy).ok());
-  EXPECT_EQ(inv2.consumed_update_seq(), seq);
-  inv2.RunCycle().value();
-  EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
-
-  // And v1 corruption is still loud: shard records don't belong in v1.
-  const std::string hybrid = StrCat("cacheportal-invalidator-checkpoint 1\n",
-                                    "update_seq ", seq, "\n",
-                                    "shards 2\n", "end\n");
-  EXPECT_TRUE(inv2.Restore(hybrid).IsParseError());
-  EXPECT_FALSE(
-      inv2.Restore(StrCat("cacheportal-invalidator-checkpoint 1\n",
-                          "update_seq ", seq, "\nmap_id zzz\nend\n"))
-          .ok());
-}
-
-/// v5 round-trip: the current format carries one QI/URL-map cursor per
-/// metadata shard PLUS the full registry (types + instance SQLs +
-/// strategy tiers), and restores into a process with a DIFFERENT live
-/// shard count (the persisted partitioning never constrains the new
-/// configuration — mismatched cursors fall back to the minimum position,
-/// and the snapshot's own instances rebuild the registry without a
-/// rescan).
-TEST(InvalidatorCheckpointTest, V5RoundTripsAcrossShardCounts) {
+/// The snapshot carries one QI/URL-map cursor per metadata shard PLUS
+/// the full registry (types + instance SQLs + strategy tiers), and
+/// restores into a process with a DIFFERENT live shard count (the
+/// persisted partitioning never constrains the new configuration —
+/// mismatched cursors fall back to the minimum position, and the
+/// snapshot's own instances rebuild the registry without a rescan).
+TEST(InvalidatorCheckpointTest, SnapshotRoundTripsAcrossShardCounts) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
@@ -206,16 +106,12 @@ TEST(InvalidatorCheckpointTest, V5RoundTripsAcrossShardCounts) {
   Invalidator inv(&db, &map, &clock, three);
   inv.RunCycle().value();
   std::string checkpoint = inv.Checkpoint();
-  EXPECT_NE(checkpoint.find("cacheportal-invalidator-checkpoint 5\n"),
-            std::string::npos);
-  EXPECT_NE(checkpoint.find("shards 3\n"), std::string::npos);
-  // All three cursors advanced in lockstep to the scanned map row.
-  for (int shard = 0; shard < 3; ++shard) {
-    EXPECT_NE(checkpoint.find(
-                  StrCat("shard_map_id ", shard, " ", map.LastId(), "\n")),
-              std::string::npos)
-        << checkpoint;
-  }
+  // At the same shard count every cursor restores exactly: all three
+  // advanced in lockstep to the scanned map row.
+  Invalidator same(&db, &map, &clock, three);
+  ASSERT_TRUE(same.Restore(checkpoint).ok());
+  EXPECT_EQ(same.metadata().MapCursors(),
+            std::vector<uint64_t>(3, map.LastId()));
   // The registry travels in the snapshot: the instance's SQL is there.
   EXPECT_NE(checkpoint.find("SELECT * FROM Car WHERE price < 20000"),
             std::string::npos);
@@ -234,10 +130,10 @@ TEST(InvalidatorCheckpointTest, V5RoundTripsAcrossShardCounts) {
   EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
 }
 
-/// v4 restores cursors to their persisted positions — the map is NOT
-/// rescanned (v1–v3 rewound to zero and depended on the rescan). A row
-/// retired before the checkpoint must not resurrect.
-TEST(InvalidatorCheckpointTest, V4RestoresCursorsWithoutRescan) {
+/// Restore puts the cursors back at their persisted positions — the map
+/// is NOT rescanned. A row retired before the checkpoint must not
+/// resurrect.
+TEST(InvalidatorCheckpointTest, RestoresCursorsWithoutRescan) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
@@ -263,106 +159,11 @@ TEST(InvalidatorCheckpointTest, V4RestoresCursorsWithoutRescan) {
   EXPECT_EQ(inv2.StatsReport(), inv.StatsReport());
 }
 
-/// The exact bytes the v3 writer produced still restore (legacy path:
-/// cursors rewind to zero, live map rows re-register on the next scan).
-TEST(InvalidatorCheckpointTest, LegacyV3CheckpointStillRestores) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  sniffer::QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
-
-  Invalidator inv(&db, &map, &clock);
-  inv.RunCycle().value();
-  const uint64_t seq = inv.consumed_update_seq();
-
-  const std::string legacy =
-      StrCat("cacheportal-invalidator-checkpoint 3\n",
-             "update_seq ", seq, "\n", "shards 2\n",
-             "shard_map_id 0 ", map.LastId(), "\n",
-             "shard_map_id 1 ", map.LastId(), "\n", "end\n");
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-
-  RecordingSink sink;
-  Invalidator inv2(&db, &map, &clock);
-  inv2.AddSink(&sink);
-  ASSERT_TRUE(inv2.Restore(legacy).ok());
-  EXPECT_EQ(inv2.consumed_update_seq(), seq);
-  EXPECT_EQ(inv2.metadata().MinMapCursor(), 0u);  // v3 rewinds.
-  inv2.RunCycle().value();
-  EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
-
-  // v3 corruption is still loud: a v3 blob must not carry v4 records.
-  EXPECT_TRUE(inv2.Restore(StrCat("cacheportal-invalidator-checkpoint 3\n",
-                                  "update_seq ", seq, "\n", "shards 1\n",
-                                  "shard_map_id 0 0\n", "type_counter 1\n",
-                                  "end\n"))
-                  .IsParseError());
-}
-
-/// The exact bytes the v4 writer produced (11-field type records, no
-/// tier) still restore: the type and instance rebuild, and the tier —
-/// absent from the blob — re-derives at the instance's re-registration.
-TEST(InvalidatorCheckpointTest, LegacyV4CheckpointStillRestores) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  sniffer::QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
-
-  const std::string sql = "SELECT * FROM Car WHERE price < 20000";
-  sql::QueryTemplate tmpl = sql::ExtractTemplateFromSql(sql).value();
-  const std::string name = "Q1";
-  const std::string legacy = StrCat(
-      "cacheportal-invalidator-checkpoint 4\n", "update_seq 0\n",
-      "shards 1\n", "shard_map_id 0 ", map.LastId(), "\n",
-      "type_counter 1\n", "stats 1 0 1 0 0 0 0 0 0 0 0 0 0 0\n",
-      "type ", tmpl.type_id, " 1 1 0 0 0 0 0 ", name.size(), " ",
-      tmpl.canonical_text.size(), "\n", name, "\n", tmpl.canonical_text,
-      "\n", "instance ", sql.size(), "\n", sql, "\n", "end\n");
-
-  RecordingSink sink;
-  Invalidator inv(&db, &map, &clock);
-  inv.AddSink(&sink);
-  ASSERT_TRUE(inv.Restore(legacy).ok());
-  // No tier travels in v4: unassigned until the staged instance replays.
-  EXPECT_FALSE(inv.metadata().TierOf(tmpl.type_id).has_value());
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-  inv.RunCycle().value();
-  EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
-  std::optional<TierDecision> tier = inv.metadata().TierOf(tmpl.type_id);
-  ASSERT_TRUE(tier.has_value());
-  EXPECT_EQ(tier->tier, StrategyTier::kExact);
-
-  // v5 corruption is loud: a tier outside [0, 4] fails the parse, and a
-  // v4 blob must not carry 13-field v5 type records.
-  EXPECT_TRUE(inv.Restore(StrCat(
-                              "cacheportal-invalidator-checkpoint 5\n",
-                              "update_seq 0\n", "shards 1\n",
-                              "shard_map_id 0 0\n", "type_counter 1\n",
-                              "stats 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n",
-                              "type ", tmpl.type_id, " 1 0 0 0 0 0 0 9 ",
-                              name.size(), " ", tmpl.canonical_text.size(),
-                              " 0\n", name, "\n", tmpl.canonical_text,
-                              "\n\n", "end\n"))
-                  .IsParseError());
-  EXPECT_TRUE(inv.Restore(StrCat(
-                              "cacheportal-invalidator-checkpoint 4\n",
-                              "update_seq 0\n", "shards 1\n",
-                              "shard_map_id 0 0\n", "type_counter 1\n",
-                              "stats 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n",
-                              "type ", tmpl.type_id, " 1 0 0 0 0 0 0 0 ",
-                              name.size(), " ", tmpl.canonical_text.size(),
-                              " 0\n", name, "\n", tmpl.canonical_text,
-                              "\n\n", "end\n"))
-                  .IsParseError());
-}
-
-/// Strategy tiers round-trip: a plane restored from a v5 checkpoint
-/// reports byte-identical tier assignments (tier AND demotion reason,
-/// per type) and a byte-identical StatsReport — BEFORE any instance
-/// re-registers, so the pins come from the blob, not a re-derivation.
-TEST(InvalidatorCheckpointTest, V5RestoredTiersAreByteIdentical) {
+/// Strategy tiers round-trip: a plane restored from a checkpoint reports
+/// byte-identical tier assignments (tier AND demotion reason, per type)
+/// and a byte-identical StatsReport — BEFORE any instance re-registers,
+/// so the pins come from the blob, not a re-derivation.
+TEST(InvalidatorCheckpointTest, RestoredTiersAreByteIdentical) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);

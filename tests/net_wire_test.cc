@@ -287,27 +287,5 @@ TEST(ResumeLedgerTest, DedupsDuplicatesAndOutOfOrderSeqs) {
   EXPECT_EQ(ledger.last_applied(99), 0u);
 }
 
-TEST(ResumeLedgerTest, EncodeDecodeRoundTrips) {
-  ResumeLedger ledger;
-  ledger.Admit(1, 10);
-  ledger.Admit(2, 3);
-  ledger.Admit(40, 7);
-
-  Result<ResumeLedger> decoded = ResumeLedger::Decode(ledger.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->entries(), ledger.entries());
-  EXPECT_EQ(decoded->Admit(1, 10), ResumeLedger::Verdict::kDuplicate);
-  EXPECT_EQ(decoded->Admit(1, 11), ResumeLedger::Verdict::kApply);
-}
-
-TEST(ResumeLedgerTest, DecodeRejectsCorruptBlobs) {
-  EXPECT_FALSE(ResumeLedger::Decode("").ok());
-  EXPECT_FALSE(ResumeLedger::Decode("something else").ok());
-  // Truncated: no end marker.
-  EXPECT_FALSE(ResumeLedger::Decode("resume-ledger 1\n1 10\n").ok());
-  EXPECT_FALSE(ResumeLedger::Decode("resume-ledger 1\n1 x\nend\n").ok());
-  EXPECT_FALSE(ResumeLedger::Decode("resume-ledger 1\n1 2 3\nend\n").ok());
-}
-
 }  // namespace
 }  // namespace cacheportal::net

@@ -328,7 +328,7 @@ TEST(ReliableDeliveryTest, CheckpointPreservesQuarantine) {
   EXPECT_TRUE(restored.IsQuarantined("edge"));
 }
 
-TEST(ReliableDeliveryTest, RestoreRejectsUnknownSinkAndGarbage) {
+TEST(ReliableDeliveryTest, RestoreRejectsUnknownSink) {
   ManualClock clock;
   ScriptedSink sink;
   sink.always_fail = true;
@@ -339,11 +339,46 @@ TEST(ReliableDeliveryTest, RestoreRejectsUnknownSinkAndGarbage) {
 
   ReliableDeliveryQueue other(&clock, NoJitterOptions());
   other.AddSink(&sink, "differently-named");
-  EXPECT_FALSE(other.RestoreState(state).ok());
-  EXPECT_FALSE(other.RestoreState("garbage").ok());
-  EXPECT_FALSE(other.RestoreState("").ok());
-  // Truncation is detected, not mis-parsed.
-  EXPECT_FALSE(other.RestoreState(state.substr(0, state.size() / 2)).ok());
+  EXPECT_TRUE(other.RestoreState(state).IsInvalidArgument());
+}
+
+/// Regression: RestoreState used to clear a sink's queue and overwrite
+/// its flags as soon as it reached that sink's record, so a corrupt
+/// record further on returned ParseError with the pending ejects already
+/// gone — and a dropped eject is a stale page. A failed restore must
+/// leave every sink exactly as it was.
+TEST(ReliableDeliveryTest, FailedRestoreLeavesTheQueueUntouched) {
+  ManualClock clock;
+  ScriptedSink down;
+  down.always_fail = true;
+  DeliveryOptions options = NoJitterOptions();
+  options.max_attempts = 10;
+  ReliableDeliveryQueue queue(&clock, options);
+  queue.AddSink(&down, "edge-a");
+  queue.AddSink(&down, "edge-b");
+  queue.SendInvalidation(Eject("/p1"), "k1");
+  queue.SendInvalidation(Eject("/p2"), "k2");
+  ASSERT_EQ(queue.pending(), 4u);
+  const std::string before = queue.CheckpointState();
+
+  // A blob for the same sinks whose second sink's last message is not an
+  // HTTP request: everything before it decodes cleanly.
+  ReliableDeliveryQueue source(&clock, options);
+  source.AddSink(&down, "edge-a");
+  source.AddSink(&down, "edge-b");
+  source.SendInvalidation(Eject("/other"), "k9");
+  std::string corrupt = source.CheckpointState();
+  const std::string wire = Eject("/other").Serialize();
+  size_t at = corrupt.rfind(wire);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GT(at, corrupt.find("edge-b"));
+  corrupt.replace(at, wire.size(), std::string(wire.size(), 'X'));
+
+  Status status = queue.RestoreState(corrupt);
+  EXPECT_TRUE(status.IsParseError()) << status.ToString();
+  EXPECT_EQ(queue.CheckpointState(), before);
+  EXPECT_EQ(queue.pending_for("edge-a"), 2u);
+  EXPECT_EQ(queue.pending_for("edge-b"), 2u);
 }
 
 DeliveryOptions BreakerOptions() {

@@ -114,83 +114,6 @@ TEST(LogIoTest, ShippedLogsDriveTheMapper) {
             std::vector<std::string>{"page-key"});
 }
 
-TEST(QiUrlMapIoTest, SerializeDeserializeRoundTrip) {
-  QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE maker = 'O''Brien'",
-          "shop/cars?maker=O%27Brien##", "/cars", 100);
-  map.Add("SELECT 1", "shop/one?##", "/one", 200);
-  map.Add("SELECT 1", "shop/two?##", "/two", 300);
-
-  auto restored = QiUrlMap::Deserialize(map.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->size(), 3u);
-  EXPECT_EQ(restored->NumQueries(), 2u);
-  EXPECT_EQ(restored->NumPages(), 3u);
-  EXPECT_EQ(restored->PagesForQuery("SELECT 1").size(), 2u);
-  EXPECT_EQ(
-      restored->QueriesForPage("shop/cars?maker=O%27Brien##").size(), 1u);
-}
-
-TEST(QiUrlMapIoTest, EmptyAndMalformed) {
-  QiUrlMap empty;
-  EXPECT_EQ(empty.Serialize(), "");
-  EXPECT_TRUE(QiUrlMap::Deserialize("")->size() == 0);
-  EXPECT_FALSE(QiUrlMap::Deserialize("garbage").ok());
-  EXPECT_FALSE(QiUrlMap::Deserialize("M\t1\tq").ok());
-}
-
-/// Regression: Deserialize used to re-assign row IDs densely from 1,
-/// silently shifting every row under a consumer's ReadSince cursor — the
-/// cursor could then replay rows it had already consumed or, worse, skip
-/// rows it had never seen. IDs (and the ID counter) must restore
-/// verbatim.
-TEST(QiUrlMapIoTest, DeserializePreservesRowIdsAndCursors) {
-  QiUrlMap map;
-  map.Add("SELECT 1", "page-1", "/r", 100);  // id 1.
-  map.Add("SELECT 2", "page-2", "/r", 200);  // id 2.
-  map.Add("SELECT 3", "page-3", "/r", 300);  // id 3.
-  // Remove the middle row: the surviving IDs {1, 3} are now sparse, the
-  // exact shape dense re-numbering destroyed.
-  ASSERT_EQ(map.RemovePage("page-2"), 1u);
-
-  // A consumer consumed everything up to id 1; its cursor is 1.
-  const uint64_t cursor = 1;
-  ASSERT_EQ(map.ReadSince(cursor).size(), 1u);
-
-  auto restored = QiUrlMap::Deserialize(map.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  // The old cursor is still exact against the restored map: the consumed
-  // row stays below it (no replay), the unconsumed row above it (no
-  // skip).
-  std::vector<QiUrlEntry> pending = restored->ReadSince(cursor);
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0].id, 3u);
-  EXPECT_EQ(pending[0].query_sql, "SELECT 3");
-  EXPECT_EQ(restored->LastId(), map.LastId());
-
-  // The ID counter restored too: a new row extends the sequence instead
-  // of colliding with (or shadowing) a consumed ID.
-  uint64_t next = restored->Add("SELECT 4", "page-4", "/r", 400);
-  EXPECT_EQ(next, 4u);
-  EXPECT_EQ(restored->ReadSince(3).size(), 1u);
-}
-
-TEST(QiUrlMapIoTest, DeserializeRejectsBadAndDuplicateIds) {
-  // A zero ID would hide under every cursor; duplicate IDs (or duplicate
-  // (query, page) pairs under different IDs) corrupt the scan order.
-  EXPECT_FALSE(QiUrlMap::Deserialize("M\t0\tq\tp\tr\t10\n").ok());
-  EXPECT_FALSE(QiUrlMap::Deserialize("M\tabc\tq\tp\tr\t10\n").ok());
-  EXPECT_FALSE(
-      QiUrlMap::Deserialize(
-          "M\t1\tq\tp\tr\t10\nM\t1\tq2\tp2\tr\t20\n")
-          .ok());
-  EXPECT_FALSE(
-      QiUrlMap::Deserialize(
-          "M\t1\tq\tp\tr\t10\nM\t2\tq\tp\tr\t20\n")
-          .ok());
-}
-
 TEST(QiUrlMapTest, EpochCountsRowSetMutationsOnly) {
   QiUrlMap map;
   uint64_t e0 = map.epoch();

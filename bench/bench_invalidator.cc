@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/clock.h"
@@ -16,6 +17,7 @@
 #include "db/database.h"
 #include "invalidator/durability.h"
 #include "invalidator/invalidator.h"
+#include "invalidator/strategy.h"
 #include "sniffer/qiurl_map.h"
 
 namespace {
@@ -100,13 +102,8 @@ struct EqWorld {
                                     {"model", db::ColumnType::kString},
                                     {"price", db::ColumnType::kInt}}))
         .ok();
-    invalidator::InvalidatorOptions options;
-    // The exact tier would claim these single-table instances and decide
-    // each one from row images; BM_CycleVsStrategy measures that tier.
-    options.exact_strategy = false;
-    invalidator =
-        std::make_unique<invalidator::Invalidator>(&db, &map, &clock,
-                                                   options);
+    invalidator = std::make_unique<invalidator::Invalidator>(
+        &db, &map, &clock, invalidator::InvalidatorOptions{});
     for (int i = 0; i < instances; ++i) {
       map.Add(StrCat("SELECT model FROM Car WHERE maker = 'maker", i, "'"),
               StrCat("shop/p", i, "?##"), "/r", 0);
@@ -202,13 +199,25 @@ void BM_CycleVsInstancesWithIndex(benchmark::State& state) {
 BENCHMARK(BM_CycleVsInstancesWithIndex)->Arg(10)->Arg(100)->Arg(1000);
 
 /// A world where the false-eject rate has a by-construction ground
-/// truth: `instances` exact-eligible range instances (`SELECT maker,
-/// model ... WHERE price < T`) over a Car table with a `stock` column,
-/// and every cycle's updates are in-place UPDATEs touching only
-/// `stock` — a column no instance's result reads and no WHERE mentions.
-/// No cached page's bytes can change, so every eject is a false eject.
+/// truth: `instances` range instances (`SELECT maker, model ... WHERE
+/// price < T`) over a Car table with a `stock` column, and every cycle's
+/// updates are in-place UPDATEs touching only `stock` — a column no
+/// instance's result reads and no WHERE mentions. No cached page's bytes
+/// can change, so every eject is a false eject.
+///
+/// The tier is picked by template: kExact instances are the plain range
+/// lookup; kCompiledBatch instances add `model LIKE 'm%'`, a conjunct
+/// TRUE for every row that blocks exactness (no row-image evaluator for
+/// LIKE) but leaves the `price` anchor, so both arms are pruned by the
+/// same bind-index probe and differ only in the verdict rule.
+///
+/// `selective` moves the updates to rows priced above every threshold:
+/// the probe then proves every instance unaffected, which is the case a
+/// candidate index exists for. (With the default rows every updated row
+/// satisfies every instance's WHERE, so no index can prune anything.)
 struct StrategyWorld {
-  StrategyWorld(int instances, bool exact) : db(&clock) {
+  StrategyWorld(int instances, invalidator::StrategyTier tier, bool selective)
+      : db(&clock), tier(tier), selective(selective) {
     db.CreateTable(db::TableSchema("Car",
                                    {{"maker", db::ColumnType::kString},
                                     {"model", db::ColumnType::kString},
@@ -221,22 +230,40 @@ struct StrategyWorld {
       db.ExecuteSql(StrCat("INSERT INTO Car VALUES ('mk', 'm", i, "', ",
                            (i % 200) * 100, ", 5)"))
           .value();
+      // Priced above every threshold: no instance admits these rows.
+      db.ExecuteSql(StrCat("INSERT INTO Car VALUES ('mk', 'f", i,
+                           "', 1000000000, 5)"))
+          .value();
     }
-    invalidator::InvalidatorOptions options;
-    options.exact_strategy = exact;
-    invalidator =
-        std::make_unique<invalidator::Invalidator>(&db, &map, &clock,
-                                                   options);
+    invalidator = std::make_unique<invalidator::Invalidator>(
+        &db, &map, &clock, invalidator::InvalidatorOptions{});
     invalidator->RunCycle().value();  // Drain seeding.
     num_instances = instances;
     RecacheMissing();
     invalidator->RunCycle().value();  // Register instances untimed.
   }
 
+  std::string Sql(int i) const {
+    std::string sql =
+        StrCat("SELECT maker, model FROM Car WHERE price < ", 20000 + i);
+    if (tier == invalidator::StrategyTier::kExact) return sql;
+    return StrCat(sql, " AND model LIKE 'm%'");
+  }
+
+  /// The tier the invalidator assigned the world's type.
+  std::optional<invalidator::StrategyTier> AssignedTier() const {
+    const invalidator::QueryInstance* instance =
+        invalidator->metadata().FindInstance(Sql(0));
+    if (instance == nullptr) return std::nullopt;
+    std::optional<invalidator::TierDecision> decision =
+        invalidator->metadata().TierOf(instance->type_id);
+    if (!decision.has_value()) return std::nullopt;
+    return decision->tier;
+  }
+
   void RecacheMissing() {
     for (int i = 0; i < num_instances; ++i) {
-      std::string sql =
-          StrCat("SELECT maker, model FROM Car WHERE price < ", 20000 + i);
+      std::string sql = Sql(i);
       if (!map.PagesForQuery(sql).empty()) continue;
       map.Add(sql, StrCat("shop/p", i, "?##"), "/r", 0);
     }
@@ -245,7 +272,8 @@ struct StrategyWorld {
   void Mutate(int n) {
     for (int i = 0; i < n; ++i) {
       db.ExecuteSql(StrCat("UPDATE Car SET stock = ", next_stock++,
-                           " WHERE model = 'm", i % 200, "'"))
+                           " WHERE model = '", selective ? "f" : "m", i % 200,
+                           "'"))
           .value();
     }
   }
@@ -254,27 +282,41 @@ struct StrategyWorld {
   db::Database db;
   sniffer::QiUrlMap map;
   std::unique_ptr<invalidator::Invalidator> invalidator;
+  invalidator::StrategyTier tier;
+  bool selective;
   int num_instances = 0;
   int next_stock = 100;
 };
 
-/// Cycle cost and eject precision, exact tier (range(1)=1) versus the
-/// conservative impact walk (range(1)=0), on the irrelevant-update
-/// workload above. The counters carry the tentpole's claim: the
+/// Cycle cost and eject precision, exact tier (tier=0) versus the
+/// conservative impact walk (tier=1, kCompiledBatch), on the
+/// irrelevant-update workload above. On the default rows the
 /// conservative walk ejects ~every instance every cycle (all false),
-/// the exact tier ejects none, and neither path issues DBMS polls.
+/// the exact tier ejects none, and neither path issues DBMS polls. The
+/// selective arm (selective=1) measures the probe's pruning: no
+/// instance is a candidate, so both tiers skip the fan-out entirely.
 void BM_CycleVsStrategy(benchmark::State& state) {
-  StrategyWorld world(static_cast<int>(state.range(0)),
-                      state.range(1) == 1);
+  const auto tier = static_cast<invalidator::StrategyTier>(state.range(1));
+  StrategyWorld world(static_cast<int>(state.range(0)), tier,
+                      state.range(2) == 1);
+  if (world.AssignedTier() != tier) {
+    state.SkipWithError("template landed on the wrong strategy tier");
+    return;
+  }
   uint64_t ejects = 0;
+  uint64_t last_ejects = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    world.RecacheMissing();  // Refill what the previous cycle ejected.
+    // Refill what the previous cycle ejected (a full scan, skipped when
+    // nothing was — it dominates wall time at 10^5 instances).
+    if (last_ejects > 0) world.RecacheMissing();
     world.Mutate(8);
     state.ResumeTiming();
     auto report = world.invalidator->RunCycle().value();
-    ejects += report.affected_instances;
+    last_ejects = report.affected_instances;
+    ejects += last_ejects;
   }
+  state.SetLabel(invalidator::StrategyTierName(tier));
   state.SetItemsProcessed(state.iterations() * state.range(0));
   double decisions =
       static_cast<double>(state.iterations()) * state.range(0);
@@ -283,10 +325,16 @@ void BM_CycleVsStrategy(benchmark::State& state) {
       decisions > 0 ? static_cast<double>(ejects) / decisions : 0;
   state.counters["polls"] =
       static_cast<double>(world.invalidator->stats().polls_issued);
+  state.counters["fast-path/cycle"] =
+      static_cast<double>(
+          world.invalidator->matcher_stats().fast_path_instances) /
+      static_cast<double>(
+          std::max<uint64_t>(1, world.invalidator->stats().cycles));
 }
 BENCHMARK(BM_CycleVsStrategy)
-    ->ArgsProduct({{100, 1000}, {0, 1}})
-    ->ArgNames({"instances", "exact"})
+    ->ArgsProduct({{100, 1000}, {0, 1}, {0}})
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}, {1}})
+    ->ArgNames({"instances", "tier", "selective"})
     ->Unit(benchmark::kMillisecond);
 
 /// Cycle cost versus update-batch size at a fixed 100 instances.

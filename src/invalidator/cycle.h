@@ -42,12 +42,6 @@ struct StagePolicy {
   /// Skip analysis too: table-scoped flush of every instance reading a
   /// backlogged table (kEmergency).
   bool flush_only = false;
-  /// Exact-tier types keep their precise row-image analysis under this
-  /// rung. True on every rung but kEmergency: the exact tier issues no
-  /// polls, so the economy/conservative poll-budget rungs have nothing
-  /// to take from it; only a flush-everything emergency overrides its
-  /// verdicts (DESIGN.md §16).
-  bool exact_exempt = true;
 };
 
 /// Resolves a rung into the stage knobs, using the configured budgets.
@@ -63,9 +57,9 @@ struct InstanceAnalysis {
   uint64_t type_id = 0;
   uint64_t instance_id = 0;
   const QueryInstance* instance = nullptr;
-  /// The type's strategy tier is kExact (and the policy honors it):
-  /// decided by ExactInstanceAffected from row images — no impact
-  /// fan-out, no polling, never condemned conservatively.
+  /// The type's strategy tier is kExact: the verdict is
+  /// ExactInstanceAffected over the table's row images — no impact
+  /// analysis, no polling, never condemned conservatively.
   bool exact = false;
 
   // Verdict.

@@ -8,9 +8,8 @@
 
 namespace cacheportal::invalidator {
 
-MetadataPlane::MetadataPlane(db::Database* database, size_t num_shards,
-                             bool exact_strategy)
-    : database_(database), exact_strategy_(exact_strategy) {
+MetadataPlane::MetadataPlane(db::Database* database, size_t num_shards)
+    : database_(database) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
@@ -360,7 +359,7 @@ void MetadataPlane::IndexInstanceLocked(Shard& shard,
   if (shard.tiers.find(instance.type_id) == shard.tiers.end()) {
     shard.tiers.emplace(
         instance.type_id,
-        DecideTier(*type, *database_, exact_strategy_, it->second.handled(),
+        DecideTier(*type, *database_, it->second.handled(),
                    it->second.fallback_reason()));
   }
 }

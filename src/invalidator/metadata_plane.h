@@ -74,10 +74,8 @@ class MetadataPlane {
   };
 
   /// `database` is needed to compile type matchers (schema lookups); not
-  /// owned. `num_shards` of 0 is treated as 1. `exact_strategy` is
-  /// InvalidatorOptions::exact_strategy (see DecideTier).
-  MetadataPlane(db::Database* database, size_t num_shards,
-                bool exact_strategy = true);
+  /// owned. `num_shards` of 0 is treated as 1.
+  MetadataPlane(db::Database* database, size_t num_shards);
 
   MetadataPlane(const MetadataPlane&) = delete;
   MetadataPlane& operator=(const MetadataPlane&) = delete;
@@ -212,7 +210,6 @@ class MetadataPlane {
       const std::function<void(size_t, const QueryType&)>& fn) const;
 
   db::Database* database_;
-  bool exact_strategy_;
   std::vector<std::unique_ptr<ShardSlot>> shards_;
   /// Plane-global count of types ever created, shared with every shard's
   /// registry so discovered-type names are shard-count-invariant.

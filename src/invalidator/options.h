@@ -49,15 +49,6 @@ struct InvalidatorOptions {
   /// Overload control: the adaptive degradation ladder that keeps cache
   /// staleness bounded under update storms (disabled by default).
   OverloadOptions overload;
-  /// Allow the exact single-table strategy tier: eligible templates
-  /// (single FROM table, no aggregation/self-join, WHERE decidable from
-  /// one row under 3VL, all references schema-resolved) are invalidated
-  /// exactly from the delta's old/new row images — no impact-analysis
-  /// fan-out, no polling, no false ejects — instead of the conservative
-  /// path (DESIGN.md §16). Off = every type lands on the compiled-batch,
-  /// interpret or poll tier (the comparator for "exact ejects ⊆
-  /// conservative ejects").
-  bool exact_strategy = true;
 };
 
 /// Counters of the compiled matching layer. Kept out of StatsReport:

@@ -40,12 +40,11 @@ StagePolicy MakeStagePolicy(DegradationMode mode,
       break;
     case DegradationMode::kEmergency:
       policy.skip_polls = true;
-      policy.flush_only = true;
       // The one rung that overrides the exact tier: a table-scoped flush
       // abandons precision wholesale, exact types included. The economy
-      // and conservative rungs above keep exact_exempt true — they only
-      // ration polls, and the exact tier issues none to ration.
-      policy.exact_exempt = false;
+      // and conservative rungs above only ration polls, and the exact
+      // tier issues none to ration.
+      policy.flush_only = true;
       break;
   }
   return policy;
@@ -189,18 +188,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
   }
 
   // ---- Impact analysis (Section 4.1.2's grouping). ----
-  // Exact-tier types (DESIGN.md §16): decided per instance from the
-  // delta's row images — no index probes, no impact fan-out, no polls.
-  // Snapshotted up front because the ForEach* callbacks below must not
-  // re-enter the plane. Empty when the policy's rung revoked the
-  // exemption (kEmergency never reaches this point anyway).
-  std::set<uint64_t> exact_types;
-  if (ctx.policy.exact_exempt) {
-    for (const auto& [type_id, decision] : plane.TierAssignments()) {
-      if (decision.tier == StrategyTier::kExact) exact_types.insert(type_id);
-    }
-  }
-
   // Retire sweep gate: checking every instance costs a page-count map
   // lookup per instance, but a query's page count can only DROP through
   // a RemovePage — so when the map's removal epoch is unchanged since
@@ -239,31 +226,34 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // (NULL / boolean / unkeyable numeric / missing cells, and every row
   // when the column index is beyond the batch width) come back as
   // all_rows. Instances absent from every list are provably unaffected —
-  // the partition below skips their AST work entirely. Runs type by type
+  // the partition below skips their AST work entirely. Every tier is
+  // probed the same way; the exact tier (DESIGN.md §16) differs only in
+  // the verdict its candidates get in the fan-out. Runs type by type
   // under that type's shard lock, so a concurrent registration of the
   // same type is serialized (and keeps the live/indexed counts in step —
   // both change under the same lock).
   std::map<std::pair<uint64_t, size_t>, BindIndex::BatchProbe> probes;
 
   /// Per-type snapshot driving the columnar partition: the live instance
-  /// count is captured under the type's shard lock at probe time, so it
-  /// is consistent with the probes' candidate sets.
+  /// count and the tier are captured under the type's shard lock at probe
+  /// time, so they are consistent with the probes' candidate sets.
   struct TypeBlock {
     uint64_t type_id = 0;
     const QueryType* type = nullptr;
     size_t live = 0;
+    bool exact = false;
   };
   std::vector<TypeBlock> blocks;  // Ascending type_id — the scan order.
   plane.ForEachType([&](const QueryType& type) {
-    blocks.push_back({type.type_id, &type, 0});
+    blocks.push_back({type.type_id, &type});
   });
   for (TypeBlock& block : blocks) {
     plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
       block.live = shard.registry.NumInstancesOfType(block.type_id);
       if (block.live == 0) return;
-      // Exact-tier types need no candidate discovery: every instance is
-      // decided from row images in the fan-out below.
-      if (exact_types.count(block.type_id) > 0) return;
+      auto tier_it = shard.tiers.find(block.type_id);
+      block.exact = tier_it != shard.tiers.end() &&
+                    tier_it->second.tier == StrategyTier::kExact;
       auto matcher_it = shard.matchers.find(block.type_id);
       if (matcher_it == shard.matchers.end() ||
           !matcher_it->second.handled()) {
@@ -310,7 +300,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // guard applies and every merged view either (a) has a probe whose
   // all_rows list is empty — then an instance absent from per_id would
   // short-circuit that table with zero AST work — or (b) is a table
-  // outside the type's FROM list, which AnalyzeDelta dismisses without
+  // outside the type's FROM list, which the fan-out dismisses without
   // reading a tuple. An eligible type materializes only the candidates
   // in some covering per_id (in SQL-text order — polling order
   // downstream depends on it); the rest fold into one aggregate record
@@ -334,18 +324,13 @@ Status ImpactStage::Run(CycleContext& ctx) {
   std::vector<const QueryInstance*> fetched;
   for (const TypeBlock& block : blocks) {
     if (block.live == 0) continue;
-    // Exact-tier types bypass the probe-driven partition: every live
-    // instance enters the work list and is decided from row images in
-    // the fan-out.
-    const bool exact = exact_types.count(block.type_id) > 0;
     const sql::SelectStatement* statement = block.type->tmpl.statement.get();
 
     std::vector<const BindIndex::BatchProbe*> covering(ctx.merged.size(),
                                                        nullptr);
     uint64_t covered_tuples = 0;
     uint64_t covered_views = 0;
-    bool eligible =
-        !exact && statement != nullptr && count_delta_tables(*statement) < 2;
+    bool eligible = statement != nullptr && count_delta_tables(*statement) < 2;
     for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
       auto probe_it = probes.find(std::make_pair(block.type_id, t));
       if (probe_it != probes.end()) {
@@ -372,7 +357,9 @@ Status ImpactStage::Run(CycleContext& ctx) {
       plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
         shard.registry.ForEachInstanceOfType(
             block.type_id,
-            [&](const QueryInstance& instance) { push_work(instance, exact); });
+            [&](const QueryInstance& instance) {
+              push_work(instance, block.exact);
+            });
       });
       continue;
     }
@@ -406,7 +393,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
                   return a->sql < b->sql;
                 });
       for (const QueryInstance* instance : fetched) {
-        push_work(*instance, /*exact=*/false);
+        push_work(*instance, block.exact);
       }
     }
     if (block.live > fetched.size()) {
@@ -435,45 +422,16 @@ Status ImpactStage::Run(CycleContext& ctx) {
   RunStageParallel(env_.pool, work.size(), [&](size_t slot) {
     InstanceAnalysis& a = work[slot];
     const QueryInstance& instance = *a.instance;
-
-    if (a.exact) {
-      // Exact tier: the delta for the instance's single FROM table
-      // decides membership changes from its row images — no impact
-      // analysis, no polls, never condemned. Views over other tables
-      // cannot affect a single-table query and are skipped outright
-      // (the checked bit still arms so the merge counts the analysis,
-      // exactly like the conservative walk does).
-      Micros check_start = env_.clock->NowMicros();
-      const sql::SelectStatement& statement = *instance.statement;
-      const db::Table* table =
-          statement.from.empty()
-              ? nullptr
-              : env_.database->FindTable(statement.from[0].table);
-      bool affected = false;
-      for (const TableTuples& view : merged) {
-        a.checked = true;
-        if (table == nullptr) {
-          // Schema vanished under an assigned tier: eject conservatively
-          // rather than risk staleness.
-          affected = true;
-          break;
-        }
-        if (!EqualsIgnoreCase(statement.from[0].table, view.table)) continue;
-        if (ExactInstanceAffected(statement, table->schema(),
-                                  ctx.deltas.ForTable(view.table))) {
-          affected = true;
-          break;
-        }
-      }
-      a.check_time = env_.clock->NowMicros() - check_start;
-      if (a.checked && affected) a.affected = true;
-      return;
-    }
-
     if (delta_tables_by_type.find(a.type_id)->second >= 2) {
       a.multi_table_guard = true;
       return;
     }
+    // The exact tier's single FROM table, whose schema the row-image rule
+    // evaluates against.
+    const db::Table* exact_table =
+        a.exact && !instance.statement->from.empty()
+            ? env_.database->FindTable(instance.statement->from[0].table)
+            : nullptr;
 
     Micros check_start = env_.clock->NowMicros();
     bool affected = false;
@@ -481,6 +439,12 @@ Status ImpactStage::Run(CycleContext& ctx) {
     std::vector<const db::Row*> subset;
     for (const TableTuples& view : merged) {
       a.checked = true;
+      if (a.exact && exact_table == nullptr) {
+        // Schema vanished under an assigned tier: eject conservatively
+        // rather than risk staleness.
+        affected = true;
+        break;
+      }
       const std::vector<const db::Row*>* tuples = &view.tuples;
       auto probe_it = probes.find(
           std::make_pair(a.type_id, static_cast<size_t>(&view - &merged[0])));
@@ -515,6 +479,21 @@ Status ImpactStage::Run(CycleContext& ctx) {
           continue;
         }
         tuples = &subset;
+      }
+
+      if (a.exact) {
+        // Exact tier: a candidate's verdict is the row-image rule over
+        // the table's whole delta — the probe only decided THAT it is a
+        // candidate (any image its anchor admits is in `subset`, both
+        // halves of an UPDATE pair included). Views over other tables
+        // cannot affect a single-table query. Never polls.
+        if (EqualsIgnoreCase(instance.statement->from[0].table, view.table) &&
+            ExactInstanceAffected(*instance.statement, exact_table->schema(),
+                                  ctx.deltas.ForTable(view.table))) {
+          affected = true;
+          break;
+        }
+        continue;
       }
 
       if (env_.options->batch_deltas) {

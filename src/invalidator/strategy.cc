@@ -99,7 +99,7 @@ const char* StrategyTierName(StrategyTier tier) {
 }
 
 TierDecision DecideTier(const QueryType& type, const db::Database& database,
-                        bool exact, bool matcher_handled,
+                        bool matcher_handled,
                         const std::string& matcher_fallback) {
   TierDecision decision;
   const sql::SelectStatement* statement = type.tmpl.statement.get();
@@ -146,11 +146,9 @@ TierDecision DecideTier(const QueryType& type, const db::Database& database,
       }
       if (!resolved) {
         demotion = "unresolved column";
-      } else if (exact) {
+      } else {
         decision.tier = StrategyTier::kExact;
         return decision;
-      } else {
-        demotion = "exact tier disabled";
       }
     }
   }

@@ -17,8 +17,9 @@ namespace cacheportal::invalidator {
 enum class StrategyTier : uint8_t {
   /// Single-table template whose WHERE is row-decidable under 3VL:
   /// invalidation is decided exactly from the delta tuples' old/new row
-  /// images (Łopuszański's single-table algorithm). No impact-analysis
-  /// fan-out, no polling, no false ejects.
+  /// images (Łopuszański's single-table algorithm). Candidates come from
+  /// the same bind-index partition as every anchored type; only their
+  /// verdict differs. No impact analysis, no polling, no false ejects.
   kExact = 0,
   /// The compiled matcher + columnar batch path: per-table anchors probe
   /// the bind index to exclude provably-unaffected instances; the rest
@@ -47,14 +48,12 @@ struct TierDecision {
 };
 
 /// Assigns `type` its strategy tier. Deterministic in (template text,
-/// schema, `exact`): independent of shard count, worker count, and
-/// registration order, so StatsReport() stays byte-identical across
-/// sharding sweeps. `exact` is InvalidatorOptions::exact_strategy; with
-/// it off, exact-eligible templates fall to the tier below.
+/// schema): independent of shard count, worker count, and registration
+/// order, so StatsReport() stays byte-identical across sharding sweeps.
 /// `matcher_handled` / `matcher_fallback` describe the compiled
 /// TypeMatcher's verdict for the same type.
 TierDecision DecideTier(const QueryType& type, const db::Database& database,
-                        bool exact, bool matcher_handled,
+                        bool matcher_handled,
                         const std::string& matcher_fallback);
 
 /// The exact tier's per-cycle decision for one instance: true iff the

@@ -1,11 +1,13 @@
 // Test-side oracles for the invalidation cycle, shared by the seeded
-// random-world suites (invalidator_batch_test, invalidator_matcher_test).
+// random-world suites (invalidator_batch_test, invalidator_matcher_test,
+// invalidator_strategy_test).
 #ifndef CACHEPORTAL_TESTS_IMPACT_ORACLES_H_
 #define CACHEPORTAL_TESTS_IMPACT_ORACLES_H_
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,8 +16,10 @@
 #include "db/delta.h"
 #include "db/update_log.h"
 #include "invalidator/impact.h"
+#include "invalidator/metadata_plane.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "sql/template.h"
 
 namespace cacheportal::invalidator {
 
@@ -78,6 +82,45 @@ std::set<std::string> ReferencePages(const std::set<std::string>& affected,
     if (affected.contains(sqls[i])) pages.insert(page_of(i));
   }
   return pages;
+}
+
+/// The pages of the `sqls` whose type `plane` assigned the exact tier.
+/// Tiers are fixed at a type's first registration, so one call after a
+/// run covers every cycle of it.
+template <typename PageOf>
+std::set<std::string> ExactTierPages(const MetadataPlane& plane,
+                                     const std::vector<std::string>& sqls,
+                                     PageOf page_of) {
+  std::set<std::string> pages;
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    Result<sql::QueryTemplate> tmpl = sql::ExtractTemplateFromSql(sqls[i]);
+    EXPECT_TRUE(tmpl.ok()) << sqls[i];
+    if (!tmpl.ok()) continue;
+    std::optional<TierDecision> tier = plane.TierOf(tmpl->type_id);
+    if (tier.has_value() && tier->tier == StrategyTier::kExact) {
+      pages.insert(page_of(i));
+    }
+  }
+  return pages;
+}
+
+/// One cycle's precision check, split by tier: every eject is one the
+/// reference makes, and every reference eject of a non-exact page
+/// happened. The exact tier may retain a page the reference ejects — a
+/// row change no cached result reads — so its pages are only held to
+/// the subset half (staleness is the re-execution oracle's check).
+inline void ExpectReferencePrecision(const std::set<std::string>& ejected,
+                                     const std::set<std::string>& reference,
+                                     const std::set<std::string>& exact_pages) {
+  for (const std::string& page : ejected) {
+    EXPECT_TRUE(reference.contains(page))
+        << "ejected '" << page << "' but the reference did not";
+  }
+  for (const std::string& page : reference) {
+    if (exact_pages.contains(page)) continue;
+    EXPECT_TRUE(ejected.contains(page))
+        << "reference ejected non-exact '" << page << "' but the cycle did not";
+  }
 }
 
 }  // namespace cacheportal::invalidator

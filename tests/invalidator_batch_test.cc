@@ -483,8 +483,8 @@ TEST_F(BindIndexRegressionTest, InvertedBetweenPairsMatchNothingOnTheMergePath) 
 // (BaselineInvalidator) finds stale; ejects, cycle summaries and
 // StatsReport() are byte-identical across the matrix; and, in the
 // variant with no poll budget and no polling cache, the ejects equal the
-// test-side precision reference (impact_oracles.h). The exact tier is
-// off so the single-table shapes go through the bind index.
+// test-side precision reference (impact_oracles.h) — equal on non-exact
+// pages, a subset on exact ones. Every tier goes through the bind index.
 // ---------------------------------------------------------------------------
 
 void CreateCarTables(db::Database* db) {
@@ -511,6 +511,7 @@ struct MatrixResult {
   std::vector<std::set<std::string>> cycle_invalidated;
   std::vector<std::set<std::string>> cycle_stale;      // Re-execution oracle.
   std::vector<std::set<std::string>> cycle_reference;  // Precision reference.
+  std::set<std::string> exact_pages;                   // Pages of exact types.
   std::vector<std::string> cycle_reports;
   std::string stats_report;
   MatcherStats matcher;
@@ -543,7 +544,6 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
   InvalidatorOptions options;
   options.metadata_shards = shards;
   options.worker_threads = workers;
-  options.exact_strategy = false;
   if (rationed) {
     options.max_polls_per_cycle = 3;
     options.polling_cache_capacity = 8;
@@ -637,6 +637,7 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
     recache();
     inv.RunCycle().value();  // Consume the re-cached pages.
   }
+  result.exact_pages = ExactTierPages(inv.metadata(), sqls, page_of);
   result.stats_report = inv.StatsReport();
   result.matcher = inv.matcher_stats();
   return result;
@@ -657,7 +658,8 @@ TEST_P(BatchDifferentialTest, EjectsMatchOraclesAcrossTheMatrix) {
             << "STALE RETENTION of '" << page << "'";
       }
       if (!rationed) {
-        EXPECT_EQ(base.cycle_invalidated[c], base.cycle_reference[c]);
+        ExpectReferencePrecision(base.cycle_invalidated[c],
+                                 base.cycle_reference[c], base.exact_pages);
       }
     }
     EXPECT_GT(total, 0u);
@@ -768,11 +770,7 @@ TEST(BatchSmokeTest, LargeEqualityWorldEjectsExactlyTheTouchedPages) {
                                               {"v", db::ColumnType::kInt}}))
           .ok());
   sniffer::QiUrlMap map;
-  InvalidatorOptions options;
-  // The subject is the batch-probe machinery; the exact tier would
-  // otherwise claim these single-table equality types and bypass it.
-  options.exact_strategy = false;
-  Invalidator inv(&db, &map, &clock, options);
+  Invalidator inv(&db, &map, &clock, {});
   RecordingSink sink;
   inv.AddSink(&sink);
   for (size_t i = 0; i < instances; ++i) {

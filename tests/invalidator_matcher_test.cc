@@ -30,12 +30,13 @@ class RecordingSink : public InvalidationSink {
 
 // ---------------------------------------------------------------------------
 // Random worlds checked against oracles. The instance pool mixes
-// indexable templates with fallbacks the matcher cannot anchor; the
-// exact tier is off so the single-table shapes go through the bind
-// index. Per cycle, at every (workers x shards) point: the ejects cover
-// every page the re-execution oracle (BaselineInvalidator) finds stale,
-// and equal the test-side precision reference (impact_oracles.h) — the
-// worlds ration no polls and cache none. Ejects, cycle summaries and
+// indexable templates with fallbacks the matcher cannot anchor, on every
+// strategy tier; all of them go through the bind index. Per cycle, at
+// every (workers x shards) point: the ejects cover every page the
+// re-execution oracle (BaselineInvalidator) finds stale, and match the
+// test-side precision reference (impact_oracles.h) — equal on non-exact
+// pages, a subset on exact ones — the worlds ration no polls and cache
+// none. Ejects, cycle summaries and
 // StatsReport() are byte-identical across the matrix. The workload is
 // generated independently of the invalidator's behavior so the runs are
 // comparable.
@@ -45,6 +46,7 @@ struct WorldResult {
   std::vector<std::set<std::string>> ejected;    // Per cycle.
   std::vector<std::set<std::string>> stale;      // Re-execution oracle.
   std::vector<std::set<std::string>> reference;  // Precision reference.
+  std::set<std::string> exact_pages;             // Pages of exact types.
   std::vector<std::string> summaries;            // Per-cycle report fields.
   std::string final_report;
   MatcherStats matcher;
@@ -128,7 +130,6 @@ WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards) {
   InvalidatorOptions options;
   options.worker_threads = workers;
   options.metadata_shards = shards;
-  options.exact_strategy = false;
   Invalidator inv(&db, &map, &clock, options);
   inv.AddSink(&sink);
   BaselineInvalidator oracle(&db, &map);
@@ -183,6 +184,7 @@ WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards) {
                report->polls_issued, "|", report->conservative_invalidations,
                "|", report->pages_invalidated));
   }
+  result.exact_pages = ExactTierPages(inv.metadata(), sqls, page_of);
   result.final_report = inv.StatsReport();
   result.matcher = inv.matcher_stats();
   return result;
@@ -198,7 +200,9 @@ TEST_P(MatcherDifferentialTest, EjectsMatchOraclesAtAnyWorkerAndShardCount) {
       EXPECT_TRUE(base.ejected[c].contains(page))
           << "cycle " << c << ": STALE RETENTION of '" << page << "'";
     }
-    EXPECT_EQ(base.ejected[c], base.reference[c]) << "cycle " << c;
+    SCOPED_TRACE(StrCat("cycle ", c));
+    ExpectReferencePrecision(base.ejected[c], base.reference[c],
+                             base.exact_pages);
   }
   EXPECT_GT(base.matcher.types_compiled, 0u);
 
@@ -255,11 +259,7 @@ class MatcherBoundaryTest : public ::testing::Test {
             .ok());
     sniffer::QiUrlMap map;
     RecordingSink sink;
-    // The subject is the matcher's index probe; the exact tier would
-    // otherwise claim these single-table types and bypass it.
-    InvalidatorOptions options;
-    options.exact_strategy = false;
-    Invalidator inv(&db, &map, &clock, options);
+    Invalidator inv(&db, &map, &clock, {});
     inv.AddSink(&sink);
     map.Add(sql, "shop/page?##", "/r", 0);
     db.ExecuteSql(insert_sql).value();

@@ -12,6 +12,7 @@
 #include "common/strings.h"
 #include "db/database.h"
 #include "db/delta.h"
+#include "impact_oracles.h"
 #include "invalidator/baseline.h"
 #include "invalidator/invalidator.h"
 #include "invalidator/stages.h"
@@ -126,24 +127,6 @@ TEST_F(TierAssignmentTest, IneligibleShapesDemoteWithNamedReasons) {
   }
 }
 
-TEST_F(TierAssignmentTest, DisabledExactTierDemotesEligibleShapes) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTable(&db);
-  sniffer::QiUrlMap map;
-  InvalidatorOptions options;
-  options.exact_strategy = false;
-  Invalidator inv(&db, &map, &clock, options);
-  const std::string sql = "SELECT * FROM Car WHERE price < 20000";
-  ASSERT_TRUE(inv.RegisterInstance(sql).ok());
-  const QueryInstance* instance = inv.metadata().FindInstance(sql);
-  ASSERT_NE(instance, nullptr);
-  std::optional<TierDecision> tier = inv.metadata().TierOf(instance->type_id);
-  ASSERT_TRUE(tier.has_value());
-  EXPECT_NE(tier->tier, StrategyTier::kExact);
-  EXPECT_EQ(tier->reason, "exact tier disabled");
-}
-
 // ---------------------------------------------------------------------------
 // ExactInstanceAffected units: the row-image rule over hand-built deltas,
 // pair semantics included.
@@ -242,25 +225,28 @@ TEST_F(ExactRuleTest, MalformedPairEjectsConservatively) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential property (the tentpole's correctness gate): twin worlds —
-// exact tier on vs off — over seeded random workloads with UPDATEs split
-// between selected and unselected columns, at {1,4} workers x {1,4}
-// metadata shards. Per cycle: (a) the exact run's ejects are a SUBSET of
-// the conservative run's (the tier only removes false ejects), and
+// Differential property (the exact tier's correctness gate): seeded
+// random exact-only workloads with UPDATEs split between selected and
+// unselected columns, at {1,4} workers x {1,4} metadata shards. Per
+// cycle: (a) the ejects are a SUBSET of the precision reference's
+// (impact_oracles.h — the per-instance AnalyzeDelta + poll rule the
+// conservative path follows; the tier only removes false ejects), and
 // (b) the re-execution oracle finds ZERO stale retentions (every page
-// whose result actually changed was ejected). Exact-only workloads
-// additionally issue zero polls.
+// whose result actually changed was ejected). The workload issues zero
+// polls.
 // ---------------------------------------------------------------------------
 
 struct StrategyWorld {
   std::vector<std::set<std::string>> ejected;  // Per cycle.
   std::vector<std::set<std::string>> oracle_stale;
+  std::vector<std::set<std::string>> reference;  // Precision reference.
+  size_t pages = 0;
+  size_t exact_pages = 0;  // Pages whose type landed on the exact tier.
   uint64_t polls_issued = 0;
   std::string final_report;
 };
 
-StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers,
-                               size_t shards) {
+StrategyWorld RunStrategyWorld(uint64_t seed, size_t workers, size_t shards) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -309,10 +295,11 @@ StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers,
     }
   }
 
+  auto page_of = [](size_t i) { return StrCat("shop/p", i, "?##"); };
+
   sniffer::QiUrlMap map;
   RecordingSink sink;
   InvalidatorOptions options;
-  options.exact_strategy = exact;
   options.worker_threads = workers;
   options.metadata_shards = shards;
   Invalidator inv(&db, &map, &clock, options);
@@ -320,9 +307,10 @@ StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers,
   BaselineInvalidator oracle(&db, &map);
 
   StrategyWorld result;
+  uint64_t seq = db.update_log().LastSeq();
   for (int cycle = 0; cycle < 8; ++cycle) {
     for (size_t i = 0; i < sqls.size(); ++i) {
-      map.Add(sqls[i], StrCat("shop/p", i, "?##"), "/r", 0);
+      map.Add(sqls[i], page_of(i), "/r", 0);
     }
     // Let the oracle snapshot newly (re-)cached instances BEFORE the
     // updates, so its diff covers exactly this cycle's changes.
@@ -365,12 +353,18 @@ StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers,
           break;
       }
     }
+    result.reference.push_back(ReferencePages(
+        ReferenceAffected(db, db.update_log().ReadSince(seq), sqls), sqls,
+        page_of));
+    seq = db.update_log().LastSeq();
     BaselineInvalidator::CycleResult truth = oracle.RunCycle().value();
     sink.invalidated.clear();
     inv.RunCycle().value();
     result.ejected.push_back(sink.invalidated);
     result.oracle_stale.push_back(truth.stale_pages);
   }
+  result.pages = sqls.size();
+  result.exact_pages = ExactTierPages(inv.metadata(), sqls, page_of).size();
   result.polls_issued = inv.stats().polls_issued;
   result.final_report = inv.StatsReport();
   return result;
@@ -385,17 +379,15 @@ TEST_P(StrategyDifferentialTest, ExactIsSubsetOfConservativeAndNeverStale) {
     for (size_t shards : {1u, 4u}) {
       SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
                           shards));
-      StrategyWorld conservative =
-          RunStrategyWorld(seed, /*exact=*/false, workers, shards);
-      StrategyWorld precise =
-          RunStrategyWorld(seed, /*exact=*/true, workers, shards);
-      ASSERT_EQ(precise.ejected.size(), conservative.ejected.size());
+      StrategyWorld precise = RunStrategyWorld(seed, workers, shards);
+      EXPECT_EQ(precise.exact_pages, precise.pages);
+      ASSERT_EQ(precise.ejected.size(), precise.reference.size());
       for (size_t c = 0; c < precise.ejected.size(); ++c) {
         // (a) Subset: the exact tier removes ejects, never adds them.
         for (const std::string& page : precise.ejected[c]) {
-          EXPECT_TRUE(conservative.ejected[c].contains(page))
+          EXPECT_TRUE(precise.reference[c].contains(page))
               << "cycle " << c << ": exact ejected '" << page
-              << "' but the conservative pipeline did not";
+              << "' but the precision reference did not";
         }
         // (b) Zero stale retention: every page whose re-executed result
         // changed was ejected by the exact run.
@@ -403,7 +395,7 @@ TEST_P(StrategyDifferentialTest, ExactIsSubsetOfConservativeAndNeverStale) {
           EXPECT_TRUE(precise.ejected[c].contains(page))
               << "cycle " << c << ": STALE RETENTION of '" << page << "'";
         }
-        retained += conservative.ejected[c].size() - precise.ejected[c].size();
+        retained += precise.reference[c].size() - precise.ejected[c].size();
       }
       // The workload is exact-only: the exact run never polls.
       EXPECT_EQ(precise.polls_issued, 0u);
@@ -417,11 +409,10 @@ TEST_P(StrategyDifferentialTest, ExactIsSubsetOfConservativeAndNeverStale) {
 
 TEST_P(StrategyDifferentialTest, ExactRunIsDeterministicAcrossTheMatrix) {
   const uint64_t seed = GetParam();
-  StrategyWorld base = RunStrategyWorld(seed, /*exact=*/true, 1, 1);
+  StrategyWorld base = RunStrategyWorld(seed, 1, 1);
   for (size_t workers : {1u, 4u}) {
     for (size_t shards : {1u, 4u}) {
-      StrategyWorld got = RunStrategyWorld(seed, /*exact=*/true, workers,
-                                           shards);
+      StrategyWorld got = RunStrategyWorld(seed, workers, shards);
       ASSERT_EQ(got.ejected.size(), base.ejected.size());
       for (size_t c = 0; c < base.ejected.size(); ++c) {
         EXPECT_EQ(got.ejected[c], base.ejected[c])
@@ -508,7 +499,6 @@ TEST(StrategyRungTest, ConservativeRungNeverCondemnsExactInstances) {
   // test is installed after it runs (the PollStage-test idiom).
   ctx.policy = MakeStagePolicy(DegradationMode::kConservative, fx.options);
   ASSERT_TRUE(ctx.policy.skip_polls);
-  EXPECT_TRUE(ctx.policy.exact_exempt);
   ASSERT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
   ASSERT_TRUE(PollStage(fx.Env()).Run(ctx).ok());
   // The join instance is condemned (skip_polls); the exact instance's
@@ -535,9 +525,110 @@ TEST(StrategyRungTest, EmergencyFlushOverridesExactVerdicts) {
   ASSERT_TRUE(ctx.proceed);
   // Installed after IngestStage, which resolves the policy itself.
   ctx.policy = MakeStagePolicy(DegradationMode::kEmergency, fx.options);
-  EXPECT_FALSE(ctx.policy.exact_exempt);
   ASSERT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
   EXPECT_TRUE(ctx.affected.contains(exact_sql));
+}
+
+// ---------------------------------------------------------------------------
+// Candidate discovery: exact types go through the same bind-index
+// partition as every anchored type, and only the candidates it leaves
+// reach the row-image rule. The partition's fallbacks — a type the
+// matcher cannot anchor, a delta cell the index cannot key — still hand
+// every instance to that rule.
+// ---------------------------------------------------------------------------
+
+/// One stage-pipeline cycle. Returns the work list ImpactStage built, as
+/// SQL text by type_id — captured before delivery, which retires the
+/// ejected instances the work list points at. Every entry must carry
+/// the exact verdict.
+std::map<uint64_t, std::set<std::string>> RunExactCycle(StageFixture& fx,
+                                                       CycleContext& ctx) {
+  std::map<uint64_t, std::set<std::string>> work;
+  EXPECT_TRUE(IngestStage(fx.Env()).Run(ctx).ok());
+  EXPECT_TRUE(ctx.proceed);
+  EXPECT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
+  for (const InstanceAnalysis& a : ctx.work) {
+    EXPECT_TRUE(a.exact) << a.instance->sql;
+    work[a.type_id].insert(a.instance->sql);
+  }
+  EXPECT_TRUE(PollStage(fx.Env()).Run(ctx).ok());
+  EXPECT_TRUE(DeliverStage(fx.Env()).Run(ctx).ok());
+  return work;
+}
+
+TEST(ExactPartitionTest, ProbePrunesExactTypesAndFallbacksReachTheRowRule) {
+  constexpr int kPoint = 40;  // Anchored: `maker = 'mK'`.
+  constexpr int kOr = 6;      // Unanchorable: OR-rooted WHERE.
+  StageFixture fx;
+  CreateCarTable(&fx.db);
+  fx.db.ExecuteSql("INSERT INTO Car VALUES (1, 'm3', 'Focus', 9000, 3)")
+      .value();
+  fx.last_update_seq = fx.db.update_log().LastSeq();
+
+  auto point_sql = [](int k) {
+    return StrCat("SELECT model FROM Car WHERE maker = 'm", k, "'");
+  };
+  auto or_sql = [](int k) {
+    return StrCat("SELECT maker FROM Car WHERE model = 'o", k,
+                  "' OR stock = ", k);
+  };
+  std::set<std::string> point_sqls;
+  std::set<std::string> or_sqls;
+  for (int k = 0; k < kPoint; ++k) {
+    point_sqls.insert(point_sql(k));
+    fx.map.Add(point_sql(k), StrCat("point/", k, "?##"), "/r", 0);
+  }
+  for (int k = 0; k < kOr; ++k) {
+    or_sqls.insert(or_sql(k));
+    fx.map.Add(or_sql(k), StrCat("or/", k, "?##"), "/r", 0);
+  }
+
+  // Row 1 moves from maker m3 to m5: of the point lookups, only m3 (row
+  // leaves) and m5 (row enters) are touched. Stock stays 3, so the OR
+  // instance `... OR stock = 3` holds the row in both images and reads
+  // the changed maker column — affected; the other OR instances hold it
+  // in neither image.
+  fx.db.ExecuteSql("UPDATE Car SET maker = 'm5' WHERE id = 1").value();
+  CycleContext ctx;
+  std::map<uint64_t, std::set<std::string>> work = RunExactCycle(fx, ctx);
+
+  const QueryInstance* point = fx.plane.FindInstance(point_sql(0));
+  const QueryInstance* unanchored = fx.plane.FindInstance(or_sql(0));
+  ASSERT_NE(point, nullptr);
+  ASSERT_NE(unanchored, nullptr);
+  const uint64_t point_type = point->type_id;
+  const uint64_t or_type = unanchored->type_id;
+  ASSERT_EQ(fx.plane.TierOf(point_type)->tier, StrategyTier::kExact);
+  ASSERT_EQ(fx.plane.TierOf(or_type)->tier, StrategyTier::kExact);
+
+  EXPECT_EQ(work[point_type],
+            (std::set<std::string>{point_sql(3), point_sql(5)}));
+  EXPECT_EQ(fx.cycle_matcher_stats.fast_path_instances,
+            static_cast<uint64_t>(kPoint - 2));
+  // No anchor, no probe: every OR instance reaches the row-image rule.
+  EXPECT_EQ(work[or_type], or_sqls);
+  EXPECT_EQ(fx.sink.invalidated,
+            (std::set<std::string>{"point/3?##", "point/5?##", "or/3?##"}));
+  EXPECT_EQ(ctx.report.polls_issued, 0u);
+  EXPECT_EQ(ctx.report.checks, static_cast<uint64_t>(kPoint + kOr));
+
+  // A NULL maker cell is a kAlways row for the anchored type: the probe
+  // returns it in all_rows, the partition gives up on the type, and every
+  // live point instance is analyzed. The rule then finds `maker = 'mK'`
+  // never TRUE for the row, so nothing is ejected.
+  fx.sink.invalidated.clear();
+  fx.db.ExecuteSql(
+           "INSERT INTO Car (id, model, price, stock) VALUES (2, 'x', 1, 9)")
+      .value();
+  CycleContext null_ctx;
+  work = RunExactCycle(fx, null_ctx);
+  std::set<std::string> live_points = point_sqls;
+  live_points.erase(point_sql(3));
+  live_points.erase(point_sql(5));
+  EXPECT_EQ(work[point_type], live_points);
+  EXPECT_EQ(fx.cycle_matcher_stats.fast_path_instances,
+            static_cast<uint64_t>(kPoint - 2));
+  EXPECT_TRUE(fx.sink.invalidated.empty());
 }
 
 }  // namespace

@@ -25,11 +25,13 @@ namespace {
 using namespace cacheportal;
 
 /// A self-contained world: the Example 4.1 schema, `instances` cached
-/// query instances (half single-table, half joins), ready for cycles.
+/// join instances, ready for cycles. With `pinned`, instance i also pins
+/// the join column to its own model (`Mileage.model = 'm<i>'`).
 struct World {
   World(int instances, bool with_join_index,
-        invalidator::InvalidatorOptions options = {}, int mileage_rows = 100)
-      : db(&clock) {
+        invalidator::InvalidatorOptions options = {}, int mileage_rows = 100,
+        bool pinned = false)
+      : db(&clock), pinned(pinned) {
     db.CreateTable(db::TableSchema("Car",
                                    {{"maker", db::ColumnType::kString},
                                     {"model", db::ColumnType::kString},
@@ -64,9 +66,12 @@ struct World {
   void RecacheMissing() {
     for (int i = 0; i < num_instances; ++i) {
       std::string sql =
-          StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model "
-                 "= Mileage.model AND Car.price < ",
-                 10000000 + i);
+          pinned ? StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model "
+                          "= Mileage.model AND Mileage.model = 'm",
+                          i, "'")
+                 : StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model "
+                          "= Mileage.model AND Car.price < ",
+                          10000000 + i);
       if (!map.PagesForQuery(sql).empty()) continue;
       map.Add(sql, StrCat("shop/p", i, "?##"), "/r", 0);
     }
@@ -82,11 +87,21 @@ struct World {
     }
   }
 
+  /// One Car insert whose model is the next pinned instance's, in turn:
+  /// exactly one instance can be affected.
+  void AddPinnedUpdate() {
+    db.ExecuteSql(StrCat("INSERT INTO Car VALUES ('mk', 'm",
+                         next_pin++ % num_instances, "', 1)"))
+        .value();
+  }
+
   ManualClock clock;
   db::Database db;
   sniffer::QiUrlMap map;
   std::unique_ptr<invalidator::Invalidator> invalidator;
   int num_instances = 0;
+  bool pinned = false;
+  int next_pin = 0;
 };
 
 /// A point-lookup world for the bind index: `instances` single-table
@@ -152,30 +167,45 @@ BENCHMARK(BM_CycleVsInstances)
     ->Unit(benchmark::kMillisecond);
 
 /// Residual-poll consolidation: `range(0)` join instances of one type,
-/// each needing its join side decided every cycle. The per-type
-/// disjunctions cut DBMS round trips from one per instance to
-/// ceil(instances / 64).
+/// each needing its join side decided every cycle.
+///  - pinned:0 — every member's residual is the same
+///    `'zz0' = Mileage.model`: one round trip per ceil(instances / 64)
+///    members, each statement carrying the residual once.
+///  - pinned:1 — member i pins the join column to 'm<i>' and each cycle
+///    inserts one Car row of the next member's model. The derived anchor
+///    on Car.model leaves that one member a candidate, and its poll is
+///    the only one: 1 poll and 1 round trip per cycle (one per member
+///    and ceil(instances / 64) before the anchor and the pinned-column
+///    fold).
+/// polls/cycle counts LOGICAL member polls; poll_round_trips counts the
+/// statements sent.
 void BM_ConsolidatedPolls(benchmark::State& state) {
-  World world(static_cast<int>(state.range(0)), false);
+  const bool pinned = state.range(1) != 0;
+  World world(static_cast<int>(state.range(0)), false, {}, 100, pinned);
   for (auto _ : state) {
     state.PauseTiming();
-    world.AddUpdates(1);
+    if (pinned) {
+      world.RecacheMissing();  // The member the last cycle ejected.
+      world.AddPinnedUpdate();
+    } else {
+      world.AddUpdates(1);
+    }
     state.ResumeTiming();
     auto report = world.invalidator->RunCycle();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  // polls_issued counts LOGICAL member polls (one per instance); the
-  // round-trip counter is what consolidation cuts.
+  const double cycles = static_cast<double>(
+      std::max<uint64_t>(1, world.invalidator->stats().cycles));
+  state.counters["polls/cycle"] =
+      static_cast<double>(world.invalidator->stats().polls_issued) / cycles;
   state.counters["poll_round_trips"] =
       static_cast<double>(world.invalidator->matcher_stats().poll_round_trips) /
-      static_cast<double>(std::max<uint64_t>(1, world.invalidator->stats().cycles));
+      cycles;
 }
 BENCHMARK(BM_ConsolidatedPolls)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->ArgName("instances")
+    ->ArgsProduct({{16, 64, 256}, {0, 1}})
+    ->ArgNames({"instances", "pinned"})
     ->Unit(benchmark::kMillisecond);
 
 /// Same with join indexes: polls answered inside the invalidator.

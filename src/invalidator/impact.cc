@@ -1,7 +1,9 @@
 #include "invalidator/impact.h"
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "common/strings.h"
 #include "sql/analyzer.h"
@@ -19,6 +21,72 @@ ExpressionPtr DisjoinExprs(ExpressionPtr left, ExpressionPtr right) {
   if (right == nullptr) return left;
   return std::make_unique<sql::BinaryExpr>(sql::BinaryOp::kOr,
                                            std::move(left), std::move(right));
+}
+
+/// A top-level `column = literal` conjunct (either operand order).
+struct Pin {
+  const sql::ColumnRefExpr* column = nullptr;
+  const sql::Value* value = nullptr;
+};
+
+std::optional<Pin> AsPin(const Expression& conjunct) {
+  if (conjunct.kind() != sql::ExprKind::kBinary) return std::nullopt;
+  const auto& eq = static_cast<const sql::BinaryExpr&>(conjunct);
+  if (eq.op() != sql::BinaryOp::kEq) return std::nullopt;
+  const Expression* column = &eq.left();
+  const Expression* literal = &eq.right();
+  if (column->kind() != sql::ExprKind::kColumnRef) std::swap(column, literal);
+  if (column->kind() != sql::ExprKind::kColumnRef ||
+      literal->kind() != sql::ExprKind::kLiteral) {
+    return std::nullopt;
+  }
+  return Pin{static_cast<const sql::ColumnRefExpr*>(column),
+             &static_cast<const sql::LiteralExpr*>(literal)->value()};
+}
+
+/// True when `residual`'s top-level conjunction pins one qualified column
+/// to two different literals (`c = 18 AND c = 43`): no row satisfies it,
+/// so the residual is FALSE (or NULL, for a NULL cell) at every row.
+/// Decided only when both literals share the column's declared class —
+/// int/int in an INT column or string/string in a STRING column — where
+/// equality is exact. Anything involving a double is left to the DBMS:
+/// Value::Compare widens int/double pairs to double, which is not
+/// transitive beyond ±2^53 (a DOUBLE cell 2^53 equals both Int(2^53) and
+/// Int(2^53 + 1)) and finds a NaN cell equal to every number, so two
+/// unequal pins need not contradict.
+bool PinsContradict(const Expression& residual,
+                    const sql::SelectStatement& query,
+                    const db::Database& database) {
+  // Does the literal share the column's declared class?
+  auto exact = [&](const Pin& pin) {
+    for (const sql::TableRef& ref : query.from) {
+      if (!EqualsIgnoreCase(ref.EffectiveName(), pin.column->table())) continue;
+      const db::Table* table = database.FindTable(ref.table);
+      if (table == nullptr) return false;
+      const db::TableSchema& schema = table->schema();
+      std::optional<size_t> idx = schema.ColumnIndex(pin.column->column());
+      if (!idx.has_value()) return false;
+      db::ColumnType type = schema.columns()[*idx].type;
+      return (type == db::ColumnType::kInt && pin.value->is_int()) ||
+             (type == db::ColumnType::kString && pin.value->is_string());
+    }
+    return false;
+  };
+  std::vector<Pin> pins;  // Exact-class pins seen so far.
+  for (const Expression* conjunct : sql::SplitConjuncts(residual)) {
+    std::optional<Pin> pin = AsPin(*conjunct);
+    if (!pin.has_value() || !exact(*pin)) continue;
+    for (const Pin& earlier : pins) {
+      // One class, so representation equality is SQL equality.
+      if (EqualsIgnoreCase(earlier.column->table(), pin->column->table()) &&
+          EqualsIgnoreCase(earlier.column->column(), pin->column->column()) &&
+          !(*earlier.value == *pin->value)) {
+        return true;
+      }
+    }
+    pins.push_back(*pin);
+  }
+  return false;
 }
 
 /// Builds the polling query for a residual condition: SELECT 1 FROM the
@@ -117,8 +185,10 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
 
   // Per-occurrence, per-tuple substitution. Verdicts combine as:
   // any TRUE -> affected outright; any residual -> needs polling (residuals
-  // are OR-ed per occurrence); all FALSE/NULL -> unaffected.
-  ExpressionPtr combined_residual;
+  // are OR-ed per occurrence, each distinct one once: an in-place UPDATE's
+  // old and new images often leave the same residual); all FALSE/NULL ->
+  // unaffected. A residual whose pins contradict counts as FALSE.
+  std::vector<ExpressionPtr> residuals;
   std::string residual_alias;
   for (const sql::TableRef* occ : occurrences) {
     for (const db::Row* tuple : tuples) {
@@ -143,10 +213,16 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
         case sql::FoldOutcome::kNull:
           continue;  // This tuple cannot satisfy the condition.
         case sql::FoldOutcome::kResidual:
-          if (!combined_residual) residual_alias = occ->EffectiveName();
+          if (PinsContradict(*folded.residual, query, *database_)) continue;
+          if (residuals.empty()) residual_alias = occ->EffectiveName();
           if (EqualsIgnoreCase(residual_alias, occ->EffectiveName())) {
-            combined_residual = DisjoinExprs(std::move(combined_residual),
-                                             std::move(folded.residual));
+            const Expression& residual = *folded.residual;
+            if (std::none_of(residuals.begin(), residuals.end(),
+                             [&](const ExpressionPtr& earlier) {
+                               return earlier->Equals(residual);
+                             })) {
+              residuals.push_back(std::move(folded.residual));
+            }
           } else {
             // Residuals against different aliases cannot share one
             // polling query; be conservative.
@@ -158,7 +234,12 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
     }
   }
 
-  if (combined_residual == nullptr) return result;  // kUnaffected.
+  if (residuals.empty()) return result;  // kUnaffected.
+  ExpressionPtr combined_residual;
+  for (ExpressionPtr& residual : residuals) {
+    combined_residual =
+        DisjoinExprs(std::move(combined_residual), std::move(residual));
+  }
 
   result.kind = ImpactKind::kNeedsPolling;
   result.polling_query = BuildPollingQuery(query, residual_alias,

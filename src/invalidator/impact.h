@@ -44,8 +44,12 @@ struct ImpactResult {
 ///     - FALSE/NULL everywhere  -> unaffected,
 ///     - TRUE for an occurrence -> affected,
 ///     - a residual condition   -> needs polling; the polling query
-///       selects from the remaining relations with the residual as its
-///       WHERE clause (LIMIT 1 — only emptiness matters).
+///       selects from the remaining relations with the OR of the
+///       distinct residuals as its WHERE clause (LIMIT 1 — only
+///       emptiness matters).
+///     A residual conjunction that pins one column to two different
+///     literals of the column's declared class (`c = 18 AND c = 43` in
+///     an INT or STRING column) counts as FALSE: no row satisfies it.
 ///  3. A query with no WHERE clause over `table` is always affected.
 ///
 /// Deletions use identical logic: a deleted tuple that (possibly)

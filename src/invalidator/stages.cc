@@ -6,6 +6,7 @@
 #include <set>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -707,6 +708,20 @@ struct MergedPoll {
   std::map<size_t, size_t> hit_best;
 };
 
+/// Appends the top-level OR disjuncts of `expr` to `out`, left to right.
+void CollectDisjuncts(const sql::Expression& expr,
+                      std::vector<const sql::Expression*>* out) {
+  if (expr.kind() == sql::ExprKind::kBinary) {
+    const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
+    if (bin.op() == sql::BinaryOp::kOr) {
+      CollectDisjuncts(bin.left(), out);
+      CollectDisjuncts(bin.right(), out);
+      return;
+    }
+  }
+  out->push_back(&expr);
+}
+
 /// Does `row` (a SELECT * result over `from`) satisfy a member poll's
 /// residual WHERE? Decided with the same substitution + fold the impact
 /// analyzer and the executor use, so the demultiplexed verdict equals
@@ -827,20 +842,29 @@ Status PollStage::Run(CycleContext& ctx) {
           std::min(base + kConsolidatedPollChunk, bucket_groups.size());
       MergedPoll poll;
       poll.from = poll_groups[bucket_groups[base]].queries[0]->from[0];
+      // Each distinct disjunct is emitted once: members of one type often
+      // share residuals (every instance probing the same join partner),
+      // and the statement's text is all the DBMS sees, so equal text is
+      // equal semantics. The demux still checks every member.
       sql::ExpressionPtr disjunction;
+      std::unordered_set<std::string> emitted;
+      std::vector<const sql::Expression*> disjuncts;
       for (size_t j = base; j < end; ++j) {
         size_t g = bucket_groups[j];
         poll.groups.push_back(g);
         consolidated[g] = true;
         for (size_t q = 0; q < poll_groups[g].queries.size(); ++q) {
           poll.members.push_back({g, q});
-          sql::ExpressionPtr clause =
-              poll_groups[g].queries[q]->where->Clone();
-          disjunction = disjunction == nullptr
-                            ? std::move(clause)
-                            : std::make_unique<sql::BinaryExpr>(
-                                  sql::BinaryOp::kOr, std::move(disjunction),
-                                  std::move(clause));
+          disjuncts.clear();
+          CollectDisjuncts(*poll_groups[g].queries[q]->where, &disjuncts);
+          for (const sql::Expression* clause : disjuncts) {
+            if (!emitted.insert(sql::ExprToSql(*clause)).second) continue;
+            disjunction = disjunction == nullptr
+                              ? clause->Clone()
+                              : std::make_unique<sql::BinaryExpr>(
+                                    sql::BinaryOp::kOr, std::move(disjunction),
+                                    clause->Clone());
+          }
         }
       }
       auto statement = std::make_unique<sql::SelectStatement>();

@@ -1,6 +1,7 @@
 #include "invalidator/type_matcher.h"
 
 #include <optional>
+#include <utility>
 
 #include "common/strings.h"
 #include "sql/analyzer.h"
@@ -16,6 +17,7 @@ struct ResolvedColumn {
   std::string table_lower;
   std::string column;
   size_t column_index = 0;
+  db::ColumnType type = db::ColumnType::kInt;
 };
 
 /// Anchor preference: cheaper/tighter probes win when several conjuncts
@@ -144,6 +146,7 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
       resolved.table_lower = std::move(table_lower);
       resolved.column = col.column();
       resolved.column_index = *index;
+      resolved.type = t->schema().columns()[*index].type;
       return resolved;
     }
     return std::nullopt;
@@ -165,6 +168,11 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
     }
   };
 
+  // Top-level `A.x = B.y` terms between single-occurrence tables whose
+  // two columns are both INT or both STRING: the edges anchors derive
+  // along.
+  std::vector<std::pair<ResolvedColumn, ResolvedColumn>> equi_joins;
+
   for (const sql::Expression* conjunct : sql::SplitConjuncts(*qualified)) {
     switch (conjunct->kind()) {
       case sql::ExprKind::kBinary: {
@@ -174,13 +182,10 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
         std::optional<ResolvedColumn> right = resolve(bin.right());
         if (left.has_value() && right.has_value()) {
           if (bin.op() == sql::BinaryOp::kEq &&
-              left->table_lower != right->table_lower) {
-            JoinTerm join;
-            join.left_table_lower = left->table_lower;
-            join.left_column = left->column;
-            join.right_table_lower = right->table_lower;
-            join.right_column = right->column;
-            matcher.join_terms_.push_back(std::move(join));
+              left->table_lower != right->table_lower &&
+              left->type == right->type &&
+              left->type != db::ColumnType::kDouble) {
+            equi_joins.emplace_back(std::move(*left), std::move(*right));
           }
           break;
         }
@@ -230,6 +235,40 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
       }
       default:
         break;
+    }
+  }
+
+  // Derived anchors. With `A.x = B.y` in the conjunction, a tuple of B
+  // with y = v reduces A's side to `A.x = v AND A.x REL g` — where
+  // `A.x REL g` is A's anchor. When both columns are INT (every cell an
+  // integer) or both STRING, `A.x = v` is exact equality, so `A.x REL g`
+  // holds exactly when `v REL g` does. A tuple whose value makes
+  // `v REL g` definitely FALSE therefore leaves the WHERE unsatisfiable:
+  // B may be indexed under A's relation and operands. (The impact
+  // analyzer's pinned-column fold reaches the same verdict for the
+  // equality case.) DOUBLE and mixed-type joins derive nothing:
+  // Value::Compare widens int/double pairs to double, which is not exact
+  // beyond ±2^53, and treats a NaN cell as equal to every number, so an
+  // A row holding NaN satisfies `A.x = v AND A.x = g` for any v and g.
+  // Each derivation strictly improves a table's anchor rank, so the loop
+  // ends.
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [left, right] : equi_joins) {
+      for (const auto& [from, to] : {std::pair(&left, &right),
+                                     std::pair(&right, &left)}) {
+        const CompiledAnchor* source = matcher.AnchorFor(from->table_lower);
+        if (source == nullptr || source->column_index != from->column_index) {
+          continue;
+        }
+        const CompiledAnchor* current = matcher.AnchorFor(to->table_lower);
+        if (current != nullptr &&
+            AnchorRank(current->rel) <= AnchorRank(source->rel)) {
+          continue;
+        }
+        consider(*to, source->rel, source->operands);
+        grew = true;
+      }
     }
   }
 

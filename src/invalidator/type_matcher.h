@@ -44,26 +44,19 @@ struct CompiledAnchor {
   std::vector<AnchorOperand> operands;
 };
 
-/// A `T1.c1 = T2.c2` equality across two FROM tables, recorded for
-/// introspection (polling consolidation and future join indexes); join
-/// terms are not indexed.
-struct JoinTerm {
-  std::string left_table_lower;
-  std::string left_column;
-  std::string right_table_lower;
-  std::string right_column;
-};
-
 /// Compiles a query type's template once (at first instance registration,
 /// when the FROM tables are known to exist) into per-table anchors. A
 /// table gets at most one anchor, preferring equality over IN over
 /// BETWEEN over open intervals (equality probes are O(1)); a table is
 /// only coverable when it appears exactly once in FROM (a self-joined
 /// table is unaffected only if the predicate fails for EVERY occurrence,
-/// which one column index cannot prove). Templates the compiler cannot
-/// handle — OR-rooted WHERE, NOT, LIKE, <>, expressions over the column —
-/// simply produce no anchors: every instance of the type is analyzed,
-/// none is pruned.
+/// which one column index cannot prove). A top-level equi-join between
+/// two such tables whose columns are both INT or both STRING carries an
+/// anchor on its column to the side that has none, or a worse one:
+/// `SmallT.grp = LargeT.grp AND SmallT.grp = $1` anchors LargeT on
+/// `grp = $1` too. Templates the compiler cannot handle — OR-rooted
+/// WHERE, NOT, LIKE, <>, expressions over the column — simply produce no
+/// anchors: every instance of the type is analyzed, none is pruned.
 class TypeMatcher {
  public:
   static TypeMatcher Compile(const QueryType& type,
@@ -75,7 +68,6 @@ class TypeMatcher {
   const std::map<std::string, CompiledAnchor>& anchors() const {
     return anchors_;
   }
-  const std::vector<JoinTerm>& join_terms() const { return join_terms_; }
 
   /// True when at least one table is covered by an anchor.
   bool handled() const { return !anchors_.empty(); }
@@ -92,7 +84,6 @@ class TypeMatcher {
 
  private:
   std::map<std::string, CompiledAnchor> anchors_;  // By table_lower.
-  std::vector<JoinTerm> join_terms_;
   std::string fallback_reason_;
 };
 

@@ -7,10 +7,12 @@ namespace cacheportal::sniffer {
 size_t RequestToQueryMapper::Run() {
   size_t added = 0;
   const auto& queries = query_log_->entries();
-  for (const RequestLogEntry& request : request_log_->entries()) {
-    if (!request.completed()) continue;
-    if (processed_.contains(request.id)) continue;
-    processed_.insert(request.id);
+  const auto& requests = request_log_->entries();
+  for (size_t i = cursor_; i < requests.size(); ++i) {
+    const RequestLogEntry& request = requests[i];
+    // Below the cursor: held entries the cursor just swept past.
+    if (i < cursor_ || !request.completed()) continue;
+    if (i > cursor_ && !processed_.insert(request.id).second) continue;
 
     // Query log entries are appended in receive-time order; binary-search
     // the first candidate.
@@ -25,6 +27,12 @@ size_t RequestToQueryMapper::Run() {
       map_->Add(it->sql, request.page_key, request.request_string,
                 request.delivery_time);
       if (map_->size() > before) ++added;
+    }
+    if (i == cursor_) {
+      do {
+        ++cursor_;
+      } while (cursor_ < requests.size() &&
+               processed_.erase(requests[cursor_].id) > 0);
     }
   }
   return added;

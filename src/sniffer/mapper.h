@@ -31,12 +31,17 @@ class RequestToQueryMapper {
   size_t Run();
 
   /// Requests processed so far.
-  uint64_t requests_processed() const { return processed_.size(); }
+  uint64_t requests_processed() const { return cursor_ + processed_.size(); }
 
  private:
   const RequestLog* request_log_;
   const QueryLog* query_log_;
   QiUrlMap* map_;
+  // Every log entry before position `cursor_` is processed; Run starts
+  // there, so a cycle touches only the log's tail. Entries past it that
+  // completed before an earlier in-flight one are held in `processed_`
+  // until the cursor passes them.
+  size_t cursor_ = 0;
   std::set<uint64_t> processed_;
 };
 

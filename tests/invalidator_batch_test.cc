@@ -27,6 +27,7 @@
 #include "invalidator/type_matcher.h"
 #include "server/jdbc.h"
 #include "sniffer/qiurl_map.h"
+#include "sql/analyzer.h"
 #include "sql/column_batch.h"
 #include "sql/eval.h"
 #include "sql/printer.h"
@@ -475,6 +476,265 @@ TEST_F(BindIndexRegressionTest, InvertedBetweenPairsMatchNothingOnTheMergePath) 
     for (uint32_t v = id; v <= id + 4; ++v) expect.push_back(v);
     EXPECT_EQ(probe.per_id[id], expect) << "pair " << id;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Derived anchors: `A.x = B.y AND A.x REL operands` anchors B on
+// `y REL operands` when x and y are both INT or both STRING. ProbeBatch
+// on that anchor is checked against two brute-force evaluators, for INT
+// and STRING join columns, on schema-valid B cells (NULL included) and
+// binds from the full value zoo:
+//  - the anchor conjunct alone, under sql::EvalPredicate with y = cell
+//    (the check the single-table property test makes);
+//  - the join itself: when some A row of an exhaustive domain satisfies
+//    the instantiated WHERE with B.y = cell, the instance must be a
+//    candidate for that row — the derivation's soundness.
+// ---------------------------------------------------------------------------
+
+/// Every zoo value RandomValue can draw, for exhaustive domains.
+std::vector<Value> ZooValues() {
+  std::vector<Value> zoo = {Value::Null(),        Value::Bool(true),
+                            Value::Bool(false),   Value::Double(kInf),
+                            Value::Double(-kInf), Value::Double(kNaN),
+                            Value::Double(-0.0)};
+  for (int i = 0; i < 5; ++i) zoo.push_back(Value::String(StrCat("s", i)));
+  for (int i = 0; i < 8; ++i) {
+    zoo.push_back(Value::Double(i - 3.5));
+    zoo.push_back(Value::Int(i - 4));
+  }
+  for (int64_t i = 0; i < 4; ++i) {
+    zoo.push_back(Value::Int((int64_t{1} << 53) - 1 + i));
+  }
+  return zoo;
+}
+
+/// Resolves `x` (the A side) and `y` (the B side) of a join template.
+class JoinCellResolver : public sql::ColumnResolver {
+ public:
+  JoinCellResolver(const Value& x, const Value& y) : x_(x), y_(y) {}
+  std::optional<Value> Resolve(const std::string&,
+                               const std::string& column) const override {
+    if (EqualsIgnoreCase(column, "x")) return x_;
+    if (EqualsIgnoreCase(column, "y")) return y_;
+    return std::nullopt;
+  }
+
+ private:
+  const Value& x_;
+  const Value& y_;
+};
+
+TEST(DerivedAnchorPropertyTest, ProbeBatchMatchesBruteForceJoinEvaluator) {
+  const struct {
+    const char* where;  // Over A.x, B.y; the anchor conjunct comes last.
+    size_t operands;
+    AnchorRel rel;
+  } kCases[] = {
+      {"A.x = B.y AND A.x = 1", 1, AnchorRel::kEq},
+      {"B.y = A.x AND A.x < 1", 1, AnchorRel::kLt},
+      {"A.x = B.y AND A.x <= 1", 1, AnchorRel::kLtEq},
+      {"A.x = B.y AND 1 < A.x", 1, AnchorRel::kGt},
+      {"B.y = A.x AND A.x >= 1", 1, AnchorRel::kGtEq},
+      {"A.x = B.y AND A.x BETWEEN 1 AND 2", 2, AnchorRel::kBetween},
+      {"A.x = B.y AND A.x IN (1, 2, 3)", 3, AnchorRel::kIn},
+  };
+  const std::vector<Value> zoo = ZooValues();
+  uint64_t join_hits = 0;
+  uint64_t exclusions = 0;
+  MatcherStats stats;
+  for (db::ColumnType type : {db::ColumnType::kInt, db::ColumnType::kString}) {
+    std::vector<Value> storable;
+    for (const Value& v : zoo) {
+      if (db::ValueMatchesType(v, type)) storable.push_back(v);
+    }
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      for (size_t count : {3u, 24u}) {
+        SCOPED_TRACE(StrCat("type=", db::ColumnTypeName(type), " seed=", seed,
+                            " instances=", count));
+        Random rng(seed * 100 + count);
+        ManualClock clock;
+        db::Database db(&clock);
+        ASSERT_TRUE(db.CreateTable(db::TableSchema("A", {{"x", type}})).ok());
+        ASSERT_TRUE(db.CreateTable(db::TableSchema(
+                                       "B", {{"pad", db::ColumnType::kString},
+                                             {"y", type}}))
+                        .ok());
+        std::vector<db::Row> rows;
+        for (size_t i = 1 + rng.Uniform(40); i > 0; --i) {
+          rows.push_back({Value::String("pad"),
+                          storable[rng.Uniform(storable.size())]});
+        }
+        std::vector<const db::Row*> row_ptrs;
+        for (const db::Row& row : rows) row_ptrs.push_back(&row);
+        sql::ColumnBatch batch = sql::ColumnBatch::FromRows(row_ptrs);
+
+        uint64_t type_id = 0;
+        for (const auto& c : kCases) {
+          SCOPED_TRACE(c.where);
+          QueryType query_type;
+          TypeMatcher matcher = CompileType(
+              db, ++type_id, StrCat("SELECT * FROM A, B WHERE ", c.where),
+              &query_type);
+          const CompiledAnchor* source = matcher.AnchorFor("a");
+          const CompiledAnchor* anchor = matcher.AnchorFor("b");
+          ASSERT_NE(source, nullptr);
+          ASSERT_NE(anchor, nullptr);
+          EXPECT_EQ(anchor->rel, c.rel);
+          EXPECT_EQ(anchor->column_index, 1u);
+          ASSERT_EQ(anchor->operands.size(), c.operands);
+
+          BindIndex index;
+          std::vector<QueryInstance> instances;
+          for (size_t i = 0; i < count; ++i) {
+            std::vector<Value> bindings;
+            for (size_t k = 0; k < c.operands; ++k) {
+              bindings.push_back(RandomValue(rng));
+            }
+            instances.push_back(
+                MakeInstance(i + 1, type_id, std::move(bindings)));
+            index.AddInstance(matcher, instances.back());
+          }
+          BindIndex::BatchProbe probe;
+          index.ProbeBatch(type_id, "b", *anchor,
+                           batch.Column(anchor->column_index), &probe, &stats);
+          for (uint32_t r : probe.all_rows) {
+            const Value& cell = rows[r][1];
+            EXPECT_TRUE(cell.is_null() || Unkeyable(cell))
+                << "all_rows holds " << cell.ToSqlLiteral();
+          }
+          const std::set<uint32_t> all_rows(probe.all_rows.begin(),
+                                            probe.all_rows.end());
+
+          for (const QueryInstance& instance : instances) {
+            auto statement =
+                sql::InstantiateTemplate(query_type.tmpl, instance.bindings);
+            ASSERT_TRUE(statement.ok()) << statement.status().ToString();
+            const sql::Expression& where = *(*statement)->where;
+            // The anchor conjunct alone: the last top-level conjunct.
+            const sql::Expression& conjunct =
+                *sql::SplitConjuncts(where).back();
+            bool unkeyable_bind =
+                std::any_of(instance.bindings.begin(),
+                            instance.bindings.end(), Unkeyable);
+            auto own_it = probe.per_id.find(instance.instance_id);
+            for (uint32_t r = 0; r < rows.size(); ++r) {
+              const Value& cell = rows[r][1];
+              bool candidate =
+                  all_rows.contains(r) ||
+                  (own_it != probe.per_id.end() &&
+                   std::binary_search(own_it->second.begin(),
+                                      own_it->second.end(), r));
+              std::string trace =
+                  StrCat("instance ", instance.instance_id, ": ",
+                         sql::StatementToSql(**statement), " with B.y = ",
+                         cell.ToSqlLiteral());
+              // The conjunct, with A.x standing in for B.y.
+              Result<std::optional<bool>> truth =
+                  sql::EvalPredicate(conjunct, JoinCellResolver(cell, cell));
+              ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+              if (!truth->has_value() || **truth) {
+                EXPECT_TRUE(candidate) << "unsound exclusion: " << trace;
+              } else if (candidate) {
+                EXPECT_TRUE(Unkeyable(cell) || unkeyable_bind)
+                    << "undocumented false candidate: " << trace;
+              } else {
+                ++exclusions;
+              }
+              // The join: any A row that completes it.
+              for (const Value& a : storable) {
+                Result<std::optional<bool>> joined =
+                    sql::EvalPredicate(where, JoinCellResolver(a, cell));
+                ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+                if (joined->has_value() && **joined) {
+                  ++join_hits;
+                  EXPECT_TRUE(candidate)
+                      << "unsound exclusion: A.x = " << a.ToSqlLiteral()
+                      << " satisfies " << trace;
+                  break;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(join_hits, 0u);
+  EXPECT_GT(exclusions, 0u);
+  EXPECT_GT(stats.batch_kernel_evals, 0u);
+  EXPECT_GT(stats.batch_merge_probes, 0u);
+}
+
+// No anchor is derived across join columns of different declared types,
+// DOUBLE join columns, a self-join, or from an anchor on another column.
+TEST(DerivedAnchorTest, OnlySameTypeSingleOccurrenceJoinColumnsDerive) {
+  ManualClock clock;
+  db::Database db(&clock);
+  ASSERT_TRUE(db.CreateTable(db::TableSchema(
+                                 "A", {{"x", db::ColumnType::kInt},
+                                       {"z", db::ColumnType::kInt}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(db::TableSchema(
+                                 "B", {{"i", db::ColumnType::kInt},
+                                       {"d", db::ColumnType::kDouble},
+                                       {"s", db::ColumnType::kString}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(db::TableSchema(
+                                 "C", {{"i", db::ColumnType::kInt},
+                                       {"d", db::ColumnType::kDouble}}))
+                  .ok());
+  auto anchored = [&](const std::string& where, const std::string& table) {
+    QueryType type;
+    TypeMatcher matcher =
+        CompileType(db, 1, StrCat("SELECT * FROM A, B WHERE ", where), &type);
+    return matcher.AnchorFor(table) != nullptr;
+  };
+  EXPECT_TRUE(anchored("A.x = B.i AND A.x = 3", "b"));
+  EXPECT_FALSE(anchored("A.x = B.d AND A.x = 3", "b"));  // INT vs DOUBLE.
+  EXPECT_FALSE(anchored("A.x = B.s AND A.x = 3", "b"));  // INT vs STRING.
+  EXPECT_FALSE(anchored("A.x = B.i AND A.z = 3", "b"));  // Other column.
+  EXPECT_FALSE(anchored("A.x = B.i OR A.x = 3", "b"));   // Not top-level.
+
+  // DOUBLE = DOUBLE: a NaN cell on the anchored side equals every number,
+  // so `B.d = v AND B.d = 3` holds for any v at that row.
+  QueryType double_type;
+  TypeMatcher doubles = CompileType(
+      db, 6, "SELECT * FROM B, C WHERE B.d = C.d AND B.d = 3", &double_type);
+  ASSERT_NE(doubles.AnchorFor("b"), nullptr);
+  EXPECT_EQ(doubles.AnchorFor("c"), nullptr);
+
+  // Chains derive through every same-typed hop.
+  QueryType chain_type;
+  TypeMatcher chain = CompileType(
+      db, 2, "SELECT * FROM A, B, C WHERE A.x = B.i AND B.i = C.i AND C.i = 3",
+      &chain_type);
+  ASSERT_NE(chain.AnchorFor("a"), nullptr);
+  EXPECT_EQ(chain.AnchorFor("a")->rel, AnchorRel::kEq);
+
+  // A self-joined table is never anchored, so it neither derives nor
+  // receives.
+  QueryType self_type;
+  TypeMatcher self = CompileType(
+      db, 3, "SELECT * FROM A p, A q, B WHERE p.x = B.i AND q.x = B.i AND "
+             "B.i = 3",
+      &self_type);
+  EXPECT_EQ(self.AnchorFor("a"), nullptr);
+  ASSERT_NE(self.AnchorFor("b"), nullptr);
+
+  // An existing equality anchor is kept over a derived one.
+  QueryType own_type;
+  TypeMatcher own = CompileType(
+      db, 4, "SELECT * FROM A, B WHERE A.x = B.i AND A.x < 3 AND B.i = 7",
+      &own_type);
+  ASSERT_NE(own.AnchorFor("b"), nullptr);
+  EXPECT_EQ(own.AnchorFor("b")->rel, AnchorRel::kEq);
+  // ... and a derived equality replaces a worse own anchor.
+  QueryType better_type;
+  TypeMatcher better = CompileType(
+      db, 5, "SELECT * FROM A, B WHERE A.x = B.i AND A.x = 3 AND B.i < 7",
+      &better_type);
+  ASSERT_NE(better.AnchorFor("b"), nullptr);
+  EXPECT_EQ(better.AnchorFor("b")->rel, AnchorRel::kEq);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "invalidator/bind_index.h"
 #include "invalidator/invalidator.h"
 #include "invalidator/type_matcher.h"
+#include "server/jdbc.h"
 #include "sniffer/qiurl_map.h"
 
 namespace cacheportal::invalidator {
@@ -236,6 +237,189 @@ TEST(MatcherDifferentialSuiteTest, WorldsExerciseExclusionAndTheFastPath) {
 }
 
 // ---------------------------------------------------------------------------
+// A two-table join world in the site benchmark's shape: SmallT and
+// LargeT (id, grp, val), single-table pages per group on each table and
+// a join page per group, `... WHERE SmallT.grp = LargeT.grp AND
+// SmallT.grp = g`. The join type is anchored on SmallT by its own
+// conjunct and on LargeT by the anchor derived through the equi-join, and
+// a LargeT tuple pins SmallT.grp twice, which the analyzer folds. Most
+// cycles update one table (in place, by moving a row's group, or by a
+// delete + insert), some both. Per cycle, at workers {1,4} x shards
+// {1,4}: ejects cover the re-execution oracle's stale pages and equal
+// the precision reference on the join pages (a subset on the exact-tier
+// single-table pages), and every point of the matrix is byte-identical.
+// ---------------------------------------------------------------------------
+
+struct JoinWorldResult {
+  std::vector<std::set<std::string>> ejected;
+  std::vector<std::set<std::string>> stale;
+  std::vector<std::set<std::string>> reference;
+  std::set<std::string> exact_pages;
+  std::vector<std::string> summaries;
+  std::string final_report;
+  uint64_t polls_issued = 0;
+  MatcherStats matcher;
+};
+
+JoinWorldResult RunJoinWorld(uint64_t seed, size_t workers, size_t shards) {
+  constexpr int kGroups = 12;
+  Random rng(seed);
+  ManualClock clock;
+  db::Database db(&clock);
+  for (const char* table : {"SmallT", "LargeT"}) {
+    EXPECT_TRUE(db.CreateTable(db::TableSchema(
+                                   table, {{"id", db::ColumnType::kInt},
+                                           {"grp", db::ColumnType::kInt},
+                                           {"val", db::ColumnType::kInt}}))
+                    .ok());
+  }
+  int next_id = 0;
+  for (int g = 0; g < kGroups; ++g) {
+    for (int i = 0; i < 2; ++i) {
+      db.ExecuteSql(StrCat("INSERT INTO SmallT VALUES (", next_id++, ", ", g,
+                           ", ", rng.Uniform(100), ")"))
+          .value();
+    }
+    for (int i = 0; i < 4; ++i) {
+      db.ExecuteSql(StrCat("INSERT INTO LargeT VALUES (", next_id++, ", ", g,
+                           ", ", rng.Uniform(100), ")"))
+          .value();
+    }
+  }
+
+  std::vector<std::string> sqls;
+  for (int g = 0; g < kGroups; ++g) {
+    sqls.push_back(StrCat(
+        "SELECT COUNT(*) AS pairs, MAX(LargeT.val) AS best FROM SmallT, "
+        "LargeT WHERE SmallT.grp = LargeT.grp AND SmallT.grp = ",
+        g));
+    if (g % 2 == 0) {
+      sqls.push_back(StrCat("SELECT id, val FROM SmallT WHERE grp = ", g));
+    } else {
+      sqls.push_back(StrCat("SELECT id, val FROM LargeT WHERE grp = ", g));
+    }
+  }
+  auto page_of = [](size_t i) { return StrCat("site/p", i, "?##"); };
+
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  InvalidatorOptions options;
+  options.worker_threads = workers;
+  options.metadata_shards = shards;
+  Invalidator inv(&db, &map, &clock, options);
+  inv.AddSink(&sink);
+  BaselineInvalidator oracle(&db, &map);
+
+  // One update of `table`: in place, a group move, or a delete + insert.
+  auto update = [&](const char* table) {
+    int g = static_cast<int>(rng.Uniform(kGroups));
+    switch (rng.Uniform(3)) {
+      case 0:
+        db.ExecuteSql(StrCat("UPDATE ", table, " SET val = ",
+                             rng.Uniform(100), " WHERE grp = ", g))
+            .value();
+        break;
+      case 1:
+        db.ExecuteSql(StrCat("UPDATE ", table, " SET grp = ",
+                             rng.Uniform(kGroups), " WHERE grp = ", g))
+            .value();
+        break;
+      default:
+        db.ExecuteSql(StrCat("DELETE FROM ", table, " WHERE grp = ", g))
+            .value();
+        db.ExecuteSql(StrCat("INSERT INTO ", table, " VALUES (", next_id++,
+                             ", ", g, ", ", rng.Uniform(100), ")"))
+            .value();
+        break;
+    }
+  };
+
+  JoinWorldResult result;
+  uint64_t seq = db.update_log().LastSeq();
+  for (int cycle = 0; cycle < 16; ++cycle) {
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      map.Add(sqls[i], page_of(i), "/r", 0);
+    }
+    oracle.RunCycle().value();
+    switch (rng.Uniform(5)) {
+      case 0:
+        update("SmallT");
+        update("LargeT");
+        break;
+      case 1:
+      case 2:
+        update("SmallT");
+        break;
+      default:
+        for (uint64_t u = 1 + rng.Uniform(2); u > 0; --u) update("LargeT");
+        break;
+    }
+    result.reference.push_back(ReferencePages(
+        ReferenceAffected(db, db.update_log().ReadSince(seq), sqls), sqls,
+        page_of));
+    seq = db.update_log().LastSeq();
+    result.stale.push_back(oracle.RunCycle().value().stale_pages);
+    sink.invalidated.clear();
+    auto report = inv.RunCycle();
+    EXPECT_TRUE(report.ok());
+    result.ejected.push_back(sink.invalidated);
+    result.summaries.push_back(
+        StrCat(report->updates, "|", report->new_instances, "|",
+               report->checks, "|", report->affected_instances, "|",
+               report->polls_issued, "|", report->conservative_invalidations,
+               "|", report->pages_invalidated));
+  }
+  result.exact_pages = ExactTierPages(inv.metadata(), sqls, page_of);
+  result.final_report = inv.StatsReport();
+  result.polls_issued = inv.stats().polls_issued;
+  result.matcher = inv.matcher_stats();
+  return result;
+}
+
+class JoinWorldDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(JoinWorldDifferentialTest, EjectsMatchOraclesWithFewerPolls) {
+  const uint64_t seed = GetParam();
+  JoinWorldResult base = RunJoinWorld(seed, /*workers=*/1, /*shards=*/1);
+  for (size_t c = 0; c < base.ejected.size(); ++c) {
+    SCOPED_TRACE(StrCat("cycle ", c));
+    for (const std::string& page : base.stale[c]) {
+      EXPECT_TRUE(base.ejected[c].contains(page))
+          << "STALE RETENTION of '" << page << "'";
+    }
+    ExpectReferencePrecision(base.ejected[c], base.reference[c],
+                             base.exact_pages);
+  }
+  // Only the single-table pages are exact-tier, so the check above holds
+  // every join page to equality with the reference.
+  EXPECT_EQ(base.exact_pages.size(), 12u);
+  // What the same world counted before the pinned-column fold, the
+  // disjunct dedupe and derived anchors, by seed: every cached join page
+  // was polled on every LargeT-only cycle, and only the single-table
+  // types took the fast path. Now the derived anchor skips the join
+  // instances a LargeT tuple cannot reach, and only those it can are
+  // polled.
+  const uint64_t kPollsBefore[] = {0, 56, 66, 82, 90};
+  const uint64_t kFastPathBefore[] = {0, 255, 187, 257, 247};
+  EXPECT_LT(base.polls_issued, kPollsBefore[seed]);
+  EXPECT_GT(base.matcher.fast_path_instances, kFastPathBefore[seed]);
+
+  for (size_t workers : {1u, 4u}) {
+    for (size_t shards : {1u, 4u}) {
+      if (workers == 1 && shards == 1) continue;
+      SCOPED_TRACE(StrCat("workers ", workers, " shards ", shards));
+      JoinWorldResult got = RunJoinWorld(seed, workers, shards);
+      EXPECT_EQ(got.ejected, base.ejected);
+      EXPECT_EQ(got.summaries, base.summaries);
+      EXPECT_EQ(got.final_report, base.final_report);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JoinWorldDifferentialTest,
+                         ::testing::Range<uint64_t>(1, 5));
+
+// ---------------------------------------------------------------------------
 // Boundary units: each relational operator's index probe must exclude
 // exactly the tuples whose WHERE folds definite FALSE — never tuples that
 // fold NULL (type-mismatched or NULL-tainted comparisons), which stay
@@ -423,6 +607,69 @@ void ExpectOneBucketOf(int members, db::Database* db, ManualClock* clock) {
             static_cast<uint64_t>((members + 63) / 64));
   EXPECT_EQ(inv.matcher_stats().consolidated_members,
             static_cast<uint64_t>(members));
+}
+
+/// Answers polls from the database and records each statement's text.
+class RecordingConnection : public server::Connection {
+ public:
+  explicit RecordingConnection(db::Database* db) : db_(db) {}
+  Result<db::QueryResult> ExecuteQuery(const std::string& sql) override {
+    statements.push_back(sql);
+    return db_->ExecuteSql(sql);
+  }
+  Result<int64_t> ExecuteUpdate(const std::string&) override {
+    return Status::Internal("polls never update");
+  }
+  std::vector<std::string> statements;
+
+ private:
+  db::Database* db_;
+};
+
+TEST_F(ConsolidationTest, SharedResidualsAreEmittedOnce) {
+  // Every member's residual for a Car tuple is `'<model>' =
+  // Mileage.model`: the merged statement carries it once, and the demux
+  // still decides — and charges — each member.
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  RecordingConnection polls(&db_);
+  Invalidator inv(&db_, &map, &clock_, {});
+  inv.AddSink(&sink);
+  inv.SetPollingConnection(&polls);
+  for (int i = 0; i < 5; ++i) {
+    map.Add(StrCat("SELECT Car.model FROM Car, Mileage WHERE Car.model = "
+                   "Mileage.model AND Car.price < ",
+                   20000 + i),
+            StrCat("shop/p", i, "?##"), "/r", 0);
+  }
+  const std::string kFocusPoll =
+      "SELECT * FROM Mileage WHERE 'Focus' = Mileage.model";
+  // Focus has no Mileage row: nothing is ejected.
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Ford', 'Focus', 15000)").value();
+  auto report = inv.RunCycle();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(polls.statements, std::vector<std::string>{kFocusPoll});
+  EXPECT_EQ(report->polls_issued, 5u);
+  EXPECT_TRUE(sink.invalidated.empty());
+
+  // An in-place update: the old and new images leave one residual.
+  polls.statements.clear();
+  db_.ExecuteSql("UPDATE Car SET price = 16000 WHERE model = 'Focus'").value();
+  report = inv.RunCycle();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(polls.statements, std::vector<std::string>{kFocusPoll});
+  EXPECT_TRUE(sink.invalidated.empty());
+
+  // Avalon has a partner: every member is a hit.
+  polls.statements.clear();
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Toyota', 'Avalon', 15000)").value();
+  report = inv.RunCycle();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(polls.statements,
+            std::vector<std::string>{
+                "SELECT * FROM Mileage WHERE 'Avalon' = Mileage.model"});
+  EXPECT_EQ(sink.invalidated.size(), 5u);
+  EXPECT_EQ(report->polls_issued, 5u);
 }
 
 TEST_F(ConsolidationTest, ReducesPollRoundTripsAtLeastThreefold) {

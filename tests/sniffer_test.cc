@@ -369,5 +369,38 @@ TEST(MapperTest, IncompleteRequestsDeferred) {
   EXPECT_EQ(mapper.requests_processed(), 1u);
 }
 
+TEST(MapperTest, OutOfOrderCompletionsAreMappedOnce) {
+  RequestLog requests;
+  QueryLog queries;
+  QiUrlMap map;
+  RequestToQueryMapper mapper(&requests, &queries, &map);
+
+  // A stays in flight while B and C, opened after it, complete.
+  uint64_t a = requests.Open("s", "/a", "", "", "pageA", 100);
+  uint64_t b = requests.Open("s", "/b", "", "", "pageB", 300);
+  queries.Append("qb", true, 310, 320);
+  requests.Close(b, 330);
+  uint64_t c = requests.Open("s", "/c", "", "", "pageC", 400);
+  queries.Append("qc", true, 410, 420);
+  requests.Close(c, 430);
+  EXPECT_EQ(mapper.Run(), 2u);
+  EXPECT_EQ(mapper.requests_processed(), 2u);
+  EXPECT_EQ(mapper.Run(), 0u);  // B and C are not mapped again.
+
+  // A completes late; the processed prefix now spans A, B and C.
+  requests.Close(a, 500);
+  EXPECT_EQ(mapper.Run(), 2u);  // qb and qc fall inside A's interval.
+  EXPECT_EQ(mapper.requests_processed(), 3u);
+  EXPECT_EQ(map.PagesForQuery("qb").size(), 2u);
+
+  uint64_t d = requests.Open("s", "/d", "", "", "pageD", 600);
+  queries.Append("qd", true, 610, 620);
+  requests.Close(d, 630);
+  EXPECT_EQ(mapper.Run(), 1u);
+  EXPECT_EQ(mapper.Run(), 0u);
+  EXPECT_EQ(mapper.requests_processed(), 4u);
+  EXPECT_EQ(map.PagesForQuery("qd"), std::vector<std::string>{"pageD"});
+}
+
 }  // namespace
 }  // namespace cacheportal::sniffer

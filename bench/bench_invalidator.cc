@@ -228,6 +228,110 @@ void BM_CycleVsInstancesWithIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleVsInstancesWithIndex)->Arg(10)->Arg(100)->Arg(1000);
 
+/// A join whose two tables are both updated in every batch: `range(0)`
+/// instances of the site's join type (`SmallT.grp = LargeT.grp AND
+/// SmallT.grp = g`), one per group, over SmallT (2 rows per group) and
+/// LargeT (4 rows per group), both indexed on grp. Each cycle updates one
+/// SmallT row in place in each of `range(1)` groups and one LargeT row in
+/// each of `range(1)` other groups, so 2 * range(1) instances are
+/// affected. Each table's delta reaches only its own groups' instances,
+/// which poll the other table; a multi-table guard would eject every
+/// instance instead. Ejected pages are re-cached untimed.
+struct BothTablesWorld {
+  BothTablesWorld(int groups, int touched)
+      : db(&clock), groups(groups), touched(touched) {
+    int id = 0;
+    for (const char* table : {"SmallT", "LargeT"}) {
+      db.CreateTable(db::TableSchema(table, {{"id", db::ColumnType::kInt},
+                                             {"grp", db::ColumnType::kInt},
+                                             {"val", db::ColumnType::kInt}}))
+          .ok();
+      db.CreateIndex(table, "grp").ok();
+      const int per_group = std::string(table) == "SmallT" ? 2 : 4;
+      for (int g = 0; g < groups; ++g) {
+        for (int i = 0; i < per_group; ++i) {
+          db.ExecuteSql(StrCat("INSERT INTO ", table, " VALUES (", id++, ", ",
+                               g, ", ", i, ")"))
+              .value();
+        }
+      }
+    }
+    invalidator = std::make_unique<invalidator::Invalidator>(
+        &db, &map, &clock, invalidator::InvalidatorOptions{});
+    invalidator->RunCycle().value();  // Drain seeding.
+    RecacheMissing();
+    invalidator->RunCycle().value();  // Register instances untimed.
+  }
+
+  void RecacheMissing() {
+    for (int g = 0; g < groups; ++g) {
+      std::string sql = StrCat(
+          "SELECT COUNT(*) AS pairs, MAX(LargeT.val) AS best FROM SmallT, "
+          "LargeT WHERE SmallT.grp = LargeT.grp AND SmallT.grp = ",
+          g);
+      if (!map.PagesForQuery(sql).empty()) continue;
+      map.Add(sql, StrCat("site/heavy", g, "?##"), "/r", 0);
+    }
+  }
+
+  /// One batch: an in-place SmallT update in each of `touched` groups and
+  /// an in-place LargeT update in each of `touched` others.
+  void AddUpdates() {
+    for (int i = 0; i < touched; ++i) {
+      int g = (next_group + i) % groups;
+      int h = (next_group + i + groups / 2) % groups;
+      db.ExecuteSql(StrCat("UPDATE SmallT SET val = ", ++next_val,
+                           " WHERE id = ", g * 2))
+          .value();
+      db.ExecuteSql(StrCat("UPDATE LargeT SET val = ", ++next_val,
+                           " WHERE id = ", groups * 2 + h * 4))
+          .value();
+    }
+    next_group = (next_group + touched) % groups;
+  }
+
+  ManualClock clock;
+  db::Database db;
+  sniffer::QiUrlMap map;
+  std::unique_ptr<invalidator::Invalidator> invalidator;
+  int groups = 0;
+  int touched = 0;
+  int next_group = 0;
+  int next_val = 100;
+};
+
+void BM_JoinBothTablesUpdated(benchmark::State& state) {
+  BothTablesWorld world(static_cast<int>(state.range(0)),
+                        static_cast<int>(state.range(1)));
+  const invalidator::InvalidatorStats before = world.invalidator->stats();
+  const uint64_t round_trips_before =
+      world.invalidator->matcher_stats().poll_round_trips;
+  for (auto _ : state) {
+    state.PauseTiming();
+    world.RecacheMissing();
+    world.AddUpdates();
+    state.ResumeTiming();
+    auto report = world.invalidator->RunCycle();
+    benchmark::DoNotOptimize(report);
+  }
+  const invalidator::InvalidatorStats& after = world.invalidator->stats();
+  const double cycles = static_cast<double>(
+      std::max<uint64_t>(1, after.cycles - before.cycles));
+  state.counters["ejects/cycle"] =
+      static_cast<double>(after.pages_invalidated - before.pages_invalidated) /
+      cycles;
+  state.counters["polls/cycle"] =
+      static_cast<double>(after.polls_issued - before.polls_issued) / cycles;
+  state.counters["poll_round_trips/cycle"] =
+      static_cast<double>(world.invalidator->matcher_stats().poll_round_trips -
+                          round_trips_before) /
+      cycles;
+}
+BENCHMARK(BM_JoinBothTablesUpdated)
+    ->ArgsProduct({{64, 256}, {1, 4}})
+    ->ArgNames({"instances", "k"})
+    ->Unit(benchmark::kMillisecond);
+
 /// A world where the false-eject rate has a by-construction ground
 /// truth: `instances` range instances (`SELECT maker, model ... WHERE
 /// price < T`) over a Car table with a `stock` column, and every cycle's

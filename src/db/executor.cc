@@ -109,28 +109,28 @@ Result<std::vector<size_t>> ConjunctTables(
   return used;
 }
 
-/// Detects `tables[i].col = literal` (either side) for index lookups.
-struct IndexablePredicate {
-  std::string column;
+/// A `col = literal` pin (either side) the table's hash index answers
+/// exactly: the column is indexed and the literal's class is the
+/// column's declared class — an int in an INT column, a string in a
+/// STRING column. The index hashes values by representation, so only
+/// then does a lookup find every row SQL equality admits (Int(3) and
+/// Double(3.0) compare equal but hash apart; a NaN or double cell equals
+/// keys it does not hash like).
+struct IndexPin {
+  size_t column = 0;  // Schema index.
   Value key;
 };
 
-std::optional<IndexablePredicate> AsIndexable(const Expression& conjunct,
-                                              const BoundTable& bt) {
-  if (conjunct.kind() != ExprKind::kBinary) return std::nullopt;
-  const auto& bin = static_cast<const sql::BinaryExpr&>(conjunct);
+std::optional<IndexPin> AsIndexPin(const Expression& expr,
+                                   const BoundTable& bt) {
+  if (expr.kind() != ExprKind::kBinary) return std::nullopt;
+  const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
   if (bin.op() != sql::BinaryOp::kEq) return std::nullopt;
-  const Expression* col = nullptr;
-  const Expression* lit = nullptr;
-  if (bin.left().kind() == ExprKind::kColumnRef &&
-      bin.right().kind() == ExprKind::kLiteral) {
-    col = &bin.left();
-    lit = &bin.right();
-  } else if (bin.right().kind() == ExprKind::kColumnRef &&
-             bin.left().kind() == ExprKind::kLiteral) {
-    col = &bin.right();
-    lit = &bin.left();
-  } else {
+  const Expression* col = &bin.left();
+  const Expression* lit = &bin.right();
+  if (col->kind() != ExprKind::kColumnRef) std::swap(col, lit);
+  if (col->kind() != ExprKind::kColumnRef ||
+      lit->kind() != ExprKind::kLiteral) {
     return std::nullopt;
   }
   const auto& ref = static_cast<const ColumnRefExpr&>(*col);
@@ -138,12 +138,66 @@ std::optional<IndexablePredicate> AsIndexable(const Expression& conjunct,
       !EqualsIgnoreCase(ref.table(), bt.effective_name)) {
     return std::nullopt;
   }
-  if (!bt.table->schema().ColumnIndex(ref.column()).has_value()) {
+  const TableSchema& schema = bt.table->schema();
+  std::optional<size_t> idx = schema.ColumnIndex(ref.column());
+  if (!idx.has_value() || !bt.table->HasIndex(ref.column())) {
     return std::nullopt;
   }
-  if (!bt.table->HasIndex(ref.column())) return std::nullopt;
-  return IndexablePredicate{
-      ref.column(), static_cast<const sql::LiteralExpr&>(*lit).value()};
+  const Value& key = static_cast<const sql::LiteralExpr&>(*lit).value();
+  const ColumnType type = schema.columns()[*idx].type;
+  if (!(type == ColumnType::kInt && key.is_int()) &&
+      !(type == ColumnType::kString && key.is_string())) {
+    return std::nullopt;
+  }
+  return IndexPin{*idx, key};
+}
+
+/// A single-table conjunct the index narrows: an OR (of one or more
+/// disjuncts) where every disjunct is, or ANDs in, an index pin on one
+/// shared column — the shape of a consolidated poll's WHERE. A row
+/// satisfying the conjunct satisfies some disjunct and so its pin, so
+/// the union of the keys' lookups holds every such row. When each
+/// disjunct is a bare pin the union is exactly the satisfying rows.
+struct IndexablePredicate {
+  std::string column;
+  std::vector<Value> keys;
+  bool exact = false;
+};
+
+std::optional<IndexablePredicate> AsIndexable(const Expression& conjunct,
+                                              const BoundTable& bt) {
+  const std::vector<const Expression*> disjuncts =
+      sql::SplitDisjuncts(conjunct);
+  // Each disjunct's pins: the disjunct itself, or its top-level conjuncts.
+  std::vector<std::vector<IndexPin>> pins(disjuncts.size());
+  bool exact = true;
+  for (size_t d = 0; d < disjuncts.size(); ++d) {
+    if (std::optional<IndexPin> pin = AsIndexPin(*disjuncts[d], bt)) {
+      pins[d].push_back(*pin);
+      continue;
+    }
+    exact = false;
+    for (const Expression* term : sql::SplitConjuncts(*disjuncts[d])) {
+      if (std::optional<IndexPin> pin = AsIndexPin(*term, bt)) {
+        pins[d].push_back(*pin);
+      }
+    }
+  }
+  // A column every disjunct pins, tried in the first disjunct's order.
+  for (const IndexPin& candidate : pins[0]) {
+    IndexablePredicate out;
+    out.column = bt.table->schema().columns()[candidate.column].name;
+    out.exact = exact;
+    for (const std::vector<IndexPin>& own : pins) {
+      auto pin = std::find_if(own.begin(), own.end(), [&](const IndexPin& p) {
+        return p.column == candidate.column;
+      });
+      if (pin == own.end()) break;
+      out.keys.push_back(pin->key);
+    }
+    if (out.keys.size() == disjuncts.size()) return out;
+  }
+  return std::nullopt;
 }
 
 /// Detects an equi-join conjunct `a.x = b.y` between the table being added
@@ -417,24 +471,40 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
   auto scan_table = [&](size_t pos) -> Result<std::vector<CompositeRow>> {
     const BoundTable& bt = tables[pos];
     std::vector<CompositeRow> out;
-    // Try an index for one of the single-table conjuncts.
+    // Try an index for one of the single-table conjuncts. An exact one
+    // holds for every row its lookups return, so it is not re-evaluated.
     std::optional<IndexablePredicate> indexed;
+    const Expression* answered = nullptr;
     for (const Expression* c : single[pos]) {
       indexed = AsIndexable(*c, bt);
-      if (indexed.has_value()) break;
+      if (indexed.has_value()) {
+        if (indexed->exact) answered = c;
+        break;
+      }
     }
     std::vector<const Row*> candidates;
-    std::vector<Row> fetched;
     if (indexed.has_value()) {
-      CACHEPORTAL_ASSIGN_OR_RETURN(
-          std::vector<RowId> ids,
-          bt.table->IndexLookup(indexed->column, indexed->key));
-      fetched.reserve(ids.size());
-      for (RowId id : ids) {
-        CACHEPORTAL_ASSIGN_OR_RETURN(Row row, bt.table->Get(id));
-        fetched.push_back(std::move(row));
+      // The union of the keys' lookups, in RowId order — the order a
+      // scan visits them in.
+      std::vector<RowId> ids;
+      for (const Value& key : indexed->keys) {
+        CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<RowId> hits,
+                                     bt.table->IndexLookup(indexed->column, key));
+        ids.insert(ids.end(), hits.begin(), hits.end());
       }
-      for (const Row& r : fetched) candidates.push_back(&r);
+      if (indexed->keys.size() > 1) {
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      }
+      candidates.reserve(ids.size());
+      for (RowId id : ids) {
+        auto row = bt.table->rows().find(id);
+        if (row == bt.table->rows().end()) {
+          return Status::NotFound(StrCat("row ", id, " in table ",
+                                         bt.table->schema().name()));
+        }
+        candidates.push_back(&row->second);
+      }
     } else {
       bt.table->BumpScanned(bt.table->size());
       for (const auto& [id, row] : bt.table->rows()) {
@@ -449,6 +519,7 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
       CompositeResolver resolver(tables, composite);
       bool pass = true;
       for (const Expression* c : single[pos]) {
+        if (c == answered) continue;
         CACHEPORTAL_ASSIGN_OR_RETURN(std::optional<bool> t,
                                      sql::EvalPredicate(*c, resolver));
         if (!t.has_value() || !*t) {

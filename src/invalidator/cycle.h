@@ -64,7 +64,9 @@ struct InstanceAnalysis {
 
   // Verdict.
   Status status;                   // Analysis error, reported at merge.
-  bool multi_table_guard = false;  // >= 2 FROM tables updated together.
+  // Three or more FROM entries, or an updated self-join, read updated
+  // tables: affected without analysis.
+  bool multi_table_guard = false;
   bool checked = false;
   bool affected = false;           // Decided by condition analysis.
   bool index_affected = false;     // Decided by a join-index answer.

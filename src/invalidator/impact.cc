@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "common/strings.h"
@@ -72,50 +71,72 @@ bool PinsContradict(const Expression& residual,
     }
     return false;
   };
-  std::vector<Pin> pins;  // Exact-class pins seen so far.
+  std::vector<Pin> pins;
   for (const Expression* conjunct : sql::SplitConjuncts(residual)) {
-    std::optional<Pin> pin = AsPin(*conjunct);
-    if (!pin.has_value() || !exact(*pin)) continue;
-    for (const Pin& earlier : pins) {
+    if (std::optional<Pin> pin = AsPin(*conjunct)) pins.push_back(*pin);
+  }
+  // Schemas are read only for two different literals on one column.
+  for (size_t i = 0; i < pins.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
       // One class, so representation equality is SQL equality.
-      if (EqualsIgnoreCase(earlier.column->table(), pin->column->table()) &&
-          EqualsIgnoreCase(earlier.column->column(), pin->column->column()) &&
-          !(*earlier.value == *pin->value)) {
+      if (EqualsIgnoreCase(pins[j].column->table(), pins[i].column->table()) &&
+          EqualsIgnoreCase(pins[j].column->column(),
+                           pins[i].column->column()) &&
+          !(*pins[j].value == *pins[i].value) && exact(pins[i]) &&
+          exact(pins[j])) {
         return true;
       }
     }
-    pins.push_back(*pin);
   }
   return false;
 }
 
-/// Builds the polling query for a residual condition: SELECT 1 FROM the
-/// FROM entries still referenced by the residual WHERE residual LIMIT 1.
+/// Appends `residual` to `residuals` unless a structurally equal one is
+/// already there: an in-place UPDATE's old and new images often leave
+/// the same residual.
+void AddDistinct(ExpressionPtr residual, std::vector<ExpressionPtr>* residuals) {
+  if (std::none_of(residuals->begin(), residuals->end(),
+                   [&](const ExpressionPtr& earlier) {
+                     return earlier->Equals(*residual);
+                   })) {
+    residuals->push_back(std::move(residual));
+  }
+}
+
+/// Builds the polling query for the OR of `residuals`: SELECT 1 FROM the
+/// FROM entries still referenced by it WHERE residuals LIMIT 1. If it
+/// references nothing (shouldn't happen), keeps all but the removed
+/// entries.
 std::unique_ptr<sql::SelectStatement> BuildPollingQuery(
-    const sql::SelectStatement& query, const std::string& removed_alias,
-    ExpressionPtr residual) {
+    const sql::SelectStatement& query,
+    const std::vector<std::string>& removed_aliases,
+    std::vector<ExpressionPtr> residuals) {
+  ExpressionPtr combined;
+  for (ExpressionPtr& residual : residuals) {
+    combined = DisjoinExprs(std::move(combined), std::move(residual));
+  }
   auto poll = std::make_unique<sql::SelectStatement>();
   sql::SelectItem item;
   item.expr = std::make_unique<sql::LiteralExpr>(sql::Value::Int(1));
   item.alias = "hit";
   poll->items.push_back(std::move(item));
 
-  // Keep FROM entries referenced by the residual; if the residual
-  // references nothing (shouldn't happen), keep all but the removed one.
-  std::set<std::string> referenced;
-  if (residual != nullptr) {
-    for (const std::string& t : sql::CollectTables(*residual)) {
-      referenced.insert(AsciiToLower(t));
-    }
-  }
+  const std::vector<std::string> referenced =
+      combined != nullptr ? sql::CollectTables(*combined)
+                          : std::vector<std::string>{};
+  const auto names = [&](const std::vector<std::string>& list,
+                         const sql::TableRef& ref) {
+    return std::any_of(list.begin(), list.end(), [&](const std::string& t) {
+      return EqualsIgnoreCase(ref.EffectiveName(), t);
+    });
+  };
   for (const sql::TableRef& ref : query.from) {
-    if (EqualsIgnoreCase(ref.EffectiveName(), removed_alias)) continue;
-    if (referenced.empty() ||
-        referenced.contains(AsciiToLower(ref.EffectiveName()))) {
+    if (names(removed_aliases, ref)) continue;
+    if (referenced.empty() || names(referenced, ref)) {
       poll->from.push_back(ref);
     }
   }
-  poll->where = std::move(residual);
+  poll->where = std::move(combined);
   poll->limit = 1;
   return poll;
 }
@@ -137,9 +158,29 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
   return AnalyzeDelta(query, table, view);
 }
 
+sql::ExpressionPtr ImpactAnalyzer::QualifiedWhere(
+    const sql::SelectStatement& query) const {
+  if (query.where == nullptr) return nullptr;
+  auto owner_of =
+      [&](const std::string& column) -> std::optional<std::string> {
+    std::optional<std::string> owner;
+    for (const sql::TableRef& ref : query.from) {
+      const db::Table* t = database_->FindTable(ref.table);
+      if (t == nullptr) continue;
+      if (t->schema().ColumnIndex(column).has_value()) {
+        if (owner.has_value()) return std::nullopt;  // Ambiguous.
+        owner = ref.EffectiveName();
+      }
+    }
+    return owner;
+  };
+  return sql::QualifyColumns(*query.where, owner_of);
+}
+
 Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
     const sql::SelectStatement& query, const std::string& table,
-    const std::vector<const db::Row*>& tuples) const {
+    const std::vector<const db::Row*>& tuples,
+    const sql::Expression* qualified_where) const {
   ImpactResult result;
   if (tuples.empty()) return result;  // kUnaffected.
 
@@ -168,20 +209,11 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
   }
 
   // Qualify unqualified columns so substitution is by (alias, column).
-  auto owner_of =
-      [&](const std::string& column) -> std::optional<std::string> {
-    std::optional<std::string> owner;
-    for (const sql::TableRef& ref : query.from) {
-      const db::Table* t = database_->FindTable(ref.table);
-      if (t == nullptr) continue;
-      if (t->schema().ColumnIndex(column).has_value()) {
-        if (owner.has_value()) return std::nullopt;  // Ambiguous.
-        owner = ref.EffectiveName();
-      }
-    }
-    return owner;
-  };
-  ExpressionPtr qualified = sql::QualifyColumns(*query.where, owner_of);
+  ExpressionPtr own_qualified;
+  if (qualified_where == nullptr) {
+    own_qualified = QualifiedWhere(query);
+    qualified_where = own_qualified.get();
+  }
 
   // Per-occurrence, per-tuple substitution. Verdicts combine as:
   // any TRUE -> affected outright; any residual -> needs polling (residuals
@@ -203,7 +235,7 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
         return (*tuple)[*idx];
       };
       ExpressionPtr substituted =
-          sql::SubstituteColumns(*qualified, substituter);
+          sql::SubstituteColumns(*qualified_where, substituter);
       sql::FoldResult folded = sql::FoldConstants(*substituted);
       switch (folded.outcome) {
         case sql::FoldOutcome::kTrue:
@@ -216,13 +248,7 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
           if (PinsContradict(*folded.residual, query, *database_)) continue;
           if (residuals.empty()) residual_alias = occ->EffectiveName();
           if (EqualsIgnoreCase(residual_alias, occ->EffectiveName())) {
-            const Expression& residual = *folded.residual;
-            if (std::none_of(residuals.begin(), residuals.end(),
-                             [&](const ExpressionPtr& earlier) {
-                               return earlier->Equals(residual);
-                             })) {
-              residuals.push_back(std::move(folded.residual));
-            }
+            AddDistinct(std::move(folded.residual), &residuals);
           } else {
             // Residuals against different aliases cannot share one
             // polling query; be conservative.
@@ -235,15 +261,109 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
   }
 
   if (residuals.empty()) return result;  // kUnaffected.
-  ExpressionPtr combined_residual;
-  for (ExpressionPtr& residual : residuals) {
-    combined_residual =
-        DisjoinExprs(std::move(combined_residual), std::move(residual));
-  }
-
   result.kind = ImpactKind::kNeedsPolling;
-  result.polling_query = BuildPollingQuery(query, residual_alias,
-                                           std::move(combined_residual));
+  result.polling_query =
+      BuildPollingQuery(query, {residual_alias}, std::move(residuals));
+  return result;
+}
+
+Result<ImpactResult> ImpactAnalyzer::AnalyzePairs(
+    const sql::SelectStatement& query, const Expression& qualified_where,
+    const std::string& r_table, const std::vector<const db::Row*>& r_deleted,
+    const std::string& s_table,
+    const std::vector<const db::Row*>& s_deleted) const {
+  ImpactResult result;
+  if (r_deleted.empty() || s_deleted.empty()) return result;  // No pairs.
+  if (EqualsIgnoreCase(r_table, s_table)) {
+    return Status::InvalidArgument(
+        StrCat("pair term over one table ", r_table));
+  }
+  if (r_deleted.size() * s_deleted.size() > kMaxPairTermPairs) {
+    result.kind = ImpactKind::kAffected;
+    return result;
+  }
+  const sql::TableRef* r_ref = nullptr;
+  const sql::TableRef* s_ref = nullptr;
+  for (const sql::TableRef& ref : query.from) {
+    if (EqualsIgnoreCase(ref.table, r_table)) r_ref = &ref;
+    if (EqualsIgnoreCase(ref.table, s_table)) s_ref = &ref;
+  }
+  if (r_ref == nullptr || s_ref == nullptr) return result;  // kUnaffected.
+  const db::Table* r_updated = database_->FindTable(r_table);
+  const db::Table* s_updated = database_->FindTable(s_table);
+  if (r_updated == nullptr || s_updated == nullptr) {
+    return Status::NotFound(
+        StrCat("table ", r_updated == nullptr ? r_table : s_table));
+  }
+  const db::TableSchema& r_schema = r_updated->schema();
+  const db::TableSchema& s_schema = s_updated->schema();
+  for (const db::Row* tuple : r_deleted) {
+    CACHEPORTAL_RETURN_NOT_OK(r_schema.ValidateRow(*tuple));
+  }
+  for (const db::Row* tuple : s_deleted) {
+    CACHEPORTAL_RETURN_NOT_OK(s_schema.ValidateRow(*tuple));
+  }
+  auto bind = [](const sql::TableRef& ref, const db::TableSchema& schema,
+                 const db::Row& tuple) {
+    return [&ref, &schema, &tuple](const std::string& tbl,
+                                   const std::string& col)
+               -> std::optional<sql::Value> {
+      if (!EqualsIgnoreCase(tbl, ref.EffectiveName())) return std::nullopt;
+      std::optional<size_t> idx = schema.ColumnIndex(col);
+      if (!idx.has_value()) return std::nullopt;
+      return tuple[*idx];
+    };
+  };
+  // A residual is pollable when every column it still reads is qualified
+  // by an un-updated FROM entry.
+  auto pollable = [&](const Expression& residual) {
+    for (const std::string& t : sql::CollectTables(residual)) {
+      if (t.empty() || EqualsIgnoreCase(t, r_ref->EffectiveName()) ||
+          EqualsIgnoreCase(t, s_ref->EffectiveName())) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Substitute r first: a row whose partial fold is FALSE/NULL (or whose
+  // residual pins contradict) pairs with no s, and one that folds TRUE
+  // pairs with every s.
+  std::vector<ExpressionPtr> residuals;
+  for (const db::Row* r : r_deleted) {
+    sql::FoldResult partial = sql::FoldConstants(*sql::SubstituteColumns(
+        qualified_where, bind(*r_ref, r_schema, *r)));
+    if (partial.outcome == sql::FoldOutcome::kTrue) {
+      result.kind = ImpactKind::kAffected;
+      return result;
+    }
+    if (partial.outcome != sql::FoldOutcome::kResidual ||
+        PinsContradict(*partial.residual, query, *database_)) {
+      continue;
+    }
+    for (const db::Row* s : s_deleted) {
+      sql::FoldResult folded = sql::FoldConstants(*sql::SubstituteColumns(
+          *partial.residual, bind(*s_ref, s_schema, *s)));
+      if (folded.outcome == sql::FoldOutcome::kTrue) {
+        result.kind = ImpactKind::kAffected;
+        return result;
+      }
+      if (folded.outcome != sql::FoldOutcome::kResidual ||
+          PinsContradict(*folded.residual, query, *database_)) {
+        continue;
+      }
+      if (!pollable(*folded.residual)) {
+        result.kind = ImpactKind::kAffected;
+        return result;
+      }
+      AddDistinct(std::move(folded.residual), &residuals);
+    }
+  }
+  if (residuals.empty()) return result;  // kUnaffected.
+  result.kind = ImpactKind::kNeedsPolling;
+  result.polling_query =
+      BuildPollingQuery(query, {r_ref->EffectiveName(), s_ref->EffectiveName()},
+                        std::move(residuals));
   return result;
 }
 

@@ -26,6 +26,10 @@ enum class ImpactKind {
   kNeedsPolling,
 };
 
+/// The pair term folds at most this many (Δ⁻R, Δ⁻S) pairs per instance;
+/// above it the instance is decided affected without folding any.
+inline constexpr size_t kMaxPairTermPairs = 4096;
+
 /// Result of impact analysis. When `kind == kNeedsPolling`,
 /// `polling_query` holds the query to issue: a non-empty result means the
 /// update affects the query instance.
@@ -78,10 +82,38 @@ class ImpactAnalyzer {
   /// it per instance) instead of copying rows per instance. Analyzing a
   /// subset of a delta's tuples yields the same verdict and polling query
   /// as the full delta whenever the dropped tuples fold FALSE/NULL — they
-  /// contribute nothing to the OR-ed residual.
+  /// contribute nothing to the OR-ed residual. `qualified_where`, when
+  /// given, is QualifiedWhere(query), shared by every analysis of one
+  /// instance in a cycle instead of re-qualified per call.
   Result<ImpactResult> AnalyzeDelta(
       const sql::SelectStatement& query, const std::string& table,
-      const std::vector<const db::Row*>& tuples) const;
+      const std::vector<const db::Row*>& tuples,
+      const sql::Expression* qualified_where = nullptr) const;
+
+  /// The pair term of a batch that updated two distinct FROM tables of
+  /// `query`, `r_table` and `s_table`, each occurring once in FROM.
+  /// Analyzing each table's delta against the other's current state
+  /// misses exactly one kind of changed join row: one whose R and S
+  /// components were both deleted in the batch (Δ⁻R ⋈ Δ⁻S), since
+  /// neither is left for a poll to find. Each pair of `r_deleted` ×
+  /// `s_deleted` is substituted into the WHERE together and folded:
+  ///  - TRUE -> affected;
+  ///  - a residual whose pins do not contradict -> affected, unless it
+  ///    names only other, un-updated FROM entries: then it joins the OR
+  ///    of distinct residuals of a polling query over those entries;
+  ///  - FALSE/NULL (or contradicting pins) -> unaffected.
+  /// More than kMaxPairTermPairs pairs -> affected without folding.
+  /// `qualified_where` is QualifiedWhere(query).
+  Result<ImpactResult> AnalyzePairs(
+      const sql::SelectStatement& query,
+      const sql::Expression& qualified_where, const std::string& r_table,
+      const std::vector<const db::Row*>& r_deleted, const std::string& s_table,
+      const std::vector<const db::Row*>& s_deleted) const;
+
+  /// `query`'s WHERE with each unqualified column qualified by the one
+  /// FROM entry whose schema has it (ambiguous ones are left as they
+  /// are), so substitution goes by (alias, column). Null without a WHERE.
+  sql::ExpressionPtr QualifiedWhere(const sql::SelectStatement& query) const;
 
  private:
   const db::Database* database_;

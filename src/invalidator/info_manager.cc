@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/strings.h"
+#include "sql/analyzer.h"
 
 namespace cacheportal::invalidator {
 
@@ -37,7 +38,8 @@ Status InformationManager::CreateJoinIndex(const std::string& table,
   if (indexes_.contains(key)) {
     return Status::AlreadyExists(StrCat("join index on ", table, ".", column));
   }
-  JoinIndex index(t->schema().name(), column, *idx);
+  JoinIndex index(t->schema().name(), column, *idx,
+                  t->schema().columns()[*idx].type);
   for (const auto& [id, row] : t->rows()) index.AddRow(row);
   indexes_.emplace(std::move(key), std::move(index));
   return Status::OK();
@@ -89,20 +91,6 @@ std::optional<std::pair<std::string, sql::Value>> AsColumnEquality(
                         static_cast<const sql::LiteralExpr&>(*lit).value());
 }
 
-/// Flattens top-level ORs.
-void FlattenDisjuncts(const sql::Expression& expr,
-                      std::vector<const sql::Expression*>* out) {
-  if (expr.kind() == sql::ExprKind::kBinary) {
-    const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
-    if (bin.op() == sql::BinaryOp::kOr) {
-      FlattenDisjuncts(bin.left(), out);
-      FlattenDisjuncts(bin.right(), out);
-      return;
-    }
-  }
-  out->push_back(&expr);
-}
-
 }  // namespace
 
 std::optional<bool> InformationManager::AnswerPoll(
@@ -115,15 +103,14 @@ std::optional<bool> InformationManager::AnswerPoll(
   std::string table_key = AsciiToLower(ref.table);
   std::shared_lock<std::shared_mutex> lock(mu_);
 
-  std::vector<const sql::Expression*> disjuncts;
-  FlattenDisjuncts(*poll.where, &disjuncts);
   bool any_true = false;
-  for (const sql::Expression* d : disjuncts) {
+  for (const sql::Expression* d : sql::SplitDisjuncts(*poll.where)) {
     auto eq = AsColumnEquality(*d, ref.EffectiveName());
     if (!eq.has_value()) return std::nullopt;  // Can't decide soundly.
     auto it =
         indexes_.find(std::make_pair(table_key, AsciiToLower(eq->first)));
     if (it == indexes_.end()) return std::nullopt;  // Column not indexed.
+    if (!it->second.Decides(eq->second)) return std::nullopt;
     if (it->second.Contains(eq->second)) {
       any_true = true;
       break;

@@ -23,10 +23,12 @@ namespace cacheportal::invalidator {
 /// DBMS at all.
 class JoinIndex {
  public:
-  JoinIndex(std::string table, std::string column, size_t column_idx)
+  JoinIndex(std::string table, std::string column, size_t column_idx,
+            db::ColumnType type)
       : table_(std::move(table)),
         column_(std::move(column)),
-        column_idx_(column_idx) {}
+        column_idx_(column_idx),
+        type_(type) {}
 
   const std::string& table() const { return table_; }
   const std::string& column() const { return column_; }
@@ -37,10 +39,21 @@ class JoinIndex {
   bool Contains(const sql::Value& value) const;
   size_t size() const { return counts_.size(); }
 
+  /// Whether Contains(value) decides `value = column` exactly: the
+  /// multiset hashes values by representation, so only a value of the
+  /// column's declared class — an int in an INT column, a string in a
+  /// STRING column — finds every cell SQL equality admits (Int(3) and
+  /// Double(3.0) compare equal but hash apart).
+  bool Decides(const sql::Value& value) const {
+    return (type_ == db::ColumnType::kInt && value.is_int()) ||
+           (type_ == db::ColumnType::kString && value.is_string());
+  }
+
  private:
   std::string table_;
   std::string column_;
   size_t column_idx_;
+  db::ColumnType type_;
   std::unordered_map<sql::Value, int64_t, sql::ValueHash> counts_;
 };
 
@@ -78,7 +91,8 @@ class InformationManager {
   /// Succeeds when the query reads a single indexed relation and its
   /// WHERE clause is a conjunction of `literal OP col` / `col OP literal`
   /// predicates with at least one indexed equality. Returns nullopt when
-  /// the indexes cannot decide (the caller then polls the DBMS).
+  /// the indexes cannot decide (the caller then polls the DBMS),
+  /// including for a literal of another class than the column's.
   std::optional<bool> AnswerPoll(const sql::SelectStatement& poll) const;
 
  private:

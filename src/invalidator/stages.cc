@@ -13,6 +13,7 @@
 #include "common/strings.h"
 #include "invalidator/impact.h"
 #include "sql/analyzer.h"
+#include "sql/eval.h"
 #include "sql/printer.h"
 
 namespace cacheportal::invalidator {
@@ -150,6 +151,78 @@ Status IngestStage::Run(CycleContext& ctx) {
 // ImpactStage
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// How one batch's deltas meet a statement's FROM list.
+///  - `guard`: three or more FROM entries read updated tables, or two
+///    read the same one (an updated self-join). Every instance is
+///    decided affected without analysis.
+///  - `pair`: exactly two FROM entries read updated tables, and the
+///    tables differ. Each table's delta is analyzed as usual, plus the
+///    pair term (ImpactAnalyzer::AnalyzePairs); `pair_views` are the two
+///    tables' positions among the merged views.
+///  - neither: at most one FROM entry reads an updated table.
+struct DeltaShape {
+  bool guard = false;
+  bool pair = false;
+  size_t pair_views[2] = {0, 0};
+};
+
+DeltaShape DeltaShapeOf(const sql::SelectStatement& statement,
+                        const db::DeltaSet& deltas,
+                        const std::vector<TableTuples>& merged) {
+  DeltaShape shape;
+  std::vector<std::string> updated;  // Lower-cased, one per FROM entry.
+  for (const sql::TableRef& ref : statement.from) {
+    if (!deltas.ForTable(ref.table).empty()) {
+      updated.push_back(AsciiToLower(ref.table));
+    }
+  }
+  if (updated.size() < 2) return shape;
+  shape.guard = true;
+  if (updated.size() > 2 || updated[0] == updated[1]) return shape;
+  for (size_t k = 0; k < 2; ++k) {
+    auto view = std::find_if(
+        merged.begin(), merged.end(),
+        [&](const TableTuples& v) { return v.table == updated[k]; });
+    if (view == merged.end()) return shape;  // Non-empty deltas have views.
+    shape.pair_views[k] = static_cast<size_t>(view - merged.begin());
+  }
+  shape.guard = false;
+  shape.pair = true;
+  return shape;
+}
+
+/// The tuples of `view` from position `first` on that can reach instance
+/// `id`: the probe's all_rows merged with the instance's own per_id rows,
+/// in delta order (the polling query ORs residuals in that order).
+void CandidateTuples(const TableTuples& view, const BindIndex::BatchProbe& probe,
+                     uint64_t id, uint32_t first,
+                     std::vector<const db::Row*>* out) {
+  static const std::vector<uint32_t> kNone;
+  auto own_it = probe.per_id.find(id);
+  const std::vector<uint32_t>& own =
+      own_it == probe.per_id.end() ? kNone : own_it->second;
+  size_t x = std::lower_bound(probe.all_rows.begin(), probe.all_rows.end(),
+                              first) -
+             probe.all_rows.begin();
+  size_t y = std::lower_bound(own.begin(), own.end(), first) - own.begin();
+  out->clear();
+  out->reserve(probe.all_rows.size() - x + own.size() - y);
+  while (x < probe.all_rows.size() || y < own.size()) {
+    uint32_t next;
+    if (y >= own.size() ||
+        (x < probe.all_rows.size() && probe.all_rows[x] < own[y])) {
+      next = probe.all_rows[x++];
+    } else {
+      next = own[y++];
+    }
+    out->push_back(view.tuples[next]);
+  }
+}
+
+}  // namespace
+
 Status ImpactStage::Run(CycleContext& ctx) {
   MetadataPlane& plane = *env_.plane;
 
@@ -282,23 +355,20 @@ Status ImpactStage::Run(CycleContext& ctx) {
     });
   }
 
-  // The multi-table soundness guard's input (see the fan-out below): how
-  // many of a statement's FROM relations this batch updated. Identical
-  // for every instance of a type, so the partition evaluates it per type
-  // from the type's template; the per-instance map for the fan-out is
-  // filled from the final work list further down.
-  const auto count_delta_tables = [&](const sql::SelectStatement& statement) {
-    int n = 0;
-    for (const sql::TableRef& ref : statement.from) {
-      if (!ctx.deltas.ForTable(ref.table).empty()) ++n;
-    }
-    return n;
+  // How this batch's deltas meet a statement's FROM list (see the
+  // fan-out below). Identical for every instance of a type — templates
+  // parameterize only WHERE literals — so it is evaluated once per type
+  // from the type's template.
+  const auto delta_shape = [&](const sql::SelectStatement& statement) {
+    return DeltaShapeOf(statement, ctx.deltas, ctx.merged);
   };
 
   // ---- Columnar partition: build the work list per type, skipping the
   // fan-out — and the per-instance state entirely — for instances the
   // probes proved unaffected. A type is eligible when no multi-table
-  // guard applies and every merged view either (a) has a probe whose
+  // guard applies (a pair-term type is eligible: an instance no probe
+  // names has no candidate tuple in either table, so no pair either)
+  // and every merged view either (a) has a probe whose
   // all_rows list is empty — then an instance absent from per_id would
   // short-circuit that table with zero AST work — or (b) is a table
   // outside the type's FROM list, which the fan-out dismisses without
@@ -331,7 +401,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
                                                        nullptr);
     uint64_t covered_tuples = 0;
     uint64_t covered_views = 0;
-    bool eligible = statement != nullptr && count_delta_tables(*statement) < 2;
+    bool eligible = statement != nullptr && !delta_shape(*statement).guard;
     for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
       auto probe_it = probes.find(std::make_pair(block.type_id, t));
       if (probe_it != probes.end()) {
@@ -403,14 +473,12 @@ Status ImpactStage::Run(CycleContext& ctx) {
     }
   }
 
-  // Per-type multi-table guard counts for the fan-out, from the final
-  // work list (an instance's FROM list equals its type's template FROM
-  // list — templates parameterize only WHERE literals).
-  std::unordered_map<uint64_t, int> delta_tables_by_type;
+  // Per-type delta shapes for the fan-out, from the final work list (an
+  // instance's FROM list equals its type's template FROM list).
+  std::unordered_map<uint64_t, DeltaShape> shapes;
   for (const InstanceAnalysis& a : work) {
-    if (delta_tables_by_type.contains(a.type_id)) continue;
-    delta_tables_by_type.emplace(a.type_id,
-                                 count_delta_tables(*a.instance->statement));
+    if (shapes.contains(a.type_id)) continue;
+    shapes.emplace(a.type_id, delta_shape(*a.instance->statement));
   }
 
   // Fan out: instances are independent given the batch's deltas. Workers
@@ -423,7 +491,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
   RunStageParallel(env_.pool, work.size(), [&](size_t slot) {
     InstanceAnalysis& a = work[slot];
     const QueryInstance& instance = *a.instance;
-    if (delta_tables_by_type.find(a.type_id)->second >= 2) {
+    const DeltaShape& shape = shapes.find(a.type_id)->second;
+    if (shape.guard) {
       a.multi_table_guard = true;
       return;
     }
@@ -433,11 +502,59 @@ Status ImpactStage::Run(CycleContext& ctx) {
         a.exact && !instance.statement->from.empty()
             ? env_.database->FindTable(instance.statement->from[0].table)
             : nullptr;
+    const auto probe_of = [&](size_t t) -> const BindIndex::BatchProbe* {
+      auto probe_it = probes.find(std::make_pair(a.type_id, t));
+      return probe_it == probes.end() ? nullptr : &probe_it->second;
+    };
+    // The WHERE qualified once, shared by every analysis of this instance.
+    sql::ExpressionPtr qualified;
+    const auto qualified_where = [&]() -> const sql::Expression* {
+      if (qualified == nullptr) {
+        qualified = analyzer.QualifiedWhere(*instance.statement);
+      }
+      return qualified.get();
+    };
 
     Micros check_start = env_.clock->NowMicros();
     bool affected = false;
     std::vector<std::unique_ptr<sql::SelectStatement>> polls;
+    std::unique_ptr<sql::SelectStatement> pair_poll;
     std::vector<const db::Row*> subset;
+
+    // The pair term first: a pair that folds TRUE decides the instance
+    // before any per-table analysis or poll.
+    if (shape.pair && instance.statement->where != nullptr) {
+      std::vector<const db::Row*> deleted[2];
+      for (size_t k = 0; k < 2; ++k) {
+        const TableTuples& view = merged[shape.pair_views[k]];
+        const uint32_t first_delete = static_cast<uint32_t>(
+            ctx.deltas.ForTable(view.table).inserts.size());
+        if (const BindIndex::BatchProbe* probe =
+                probe_of(shape.pair_views[k])) {
+          CandidateTuples(view, *probe, a.instance_id, first_delete,
+                          &deleted[k]);
+        } else {
+          deleted[k].assign(view.tuples.begin() + first_delete,
+                            view.tuples.end());
+        }
+      }
+      Result<ImpactResult> impact = analyzer.AnalyzePairs(
+          *instance.statement, *qualified_where(),
+          merged[shape.pair_views[0]].table, deleted[0],
+          merged[shape.pair_views[1]].table, deleted[1]);
+      if (!impact.ok()) {
+        a.status = impact.status();
+        return;
+      }
+      a.checked = true;
+      if (impact->kind == ImpactKind::kAffected) {
+        a.check_time = env_.clock->NowMicros() - check_start;
+        a.affected = true;
+        return;
+      }
+      pair_poll = std::move(impact->polling_query);
+    }
+
     for (const TableTuples& view : merged) {
       a.checked = true;
       if (a.exact && exact_table == nullptr) {
@@ -447,31 +564,9 @@ Status ImpactStage::Run(CycleContext& ctx) {
         break;
       }
       const std::vector<const db::Row*>* tuples = &view.tuples;
-      auto probe_it = probes.find(
-          std::make_pair(a.type_id, static_cast<size_t>(&view - &merged[0])));
-      if (probe_it != probes.end()) {
-        // Sorted-merge the tuples every instance must see with this
-        // instance's candidates, preserving delta order (the polling
-        // query ORs residuals in that order).
-        const BindIndex::BatchProbe& probe = probe_it->second;
-        auto own_it = probe.per_id.find(a.instance_id);
-        static const std::vector<uint32_t> kNone;
-        const std::vector<uint32_t>& own =
-            own_it == probe.per_id.end() ? kNone : own_it->second;
-        subset.clear();
-        subset.reserve(probe.all_rows.size() + own.size());
-        size_t x = 0;
-        size_t y = 0;
-        while (x < probe.all_rows.size() || y < own.size()) {
-          uint32_t next;
-          if (y >= own.size() ||
-              (x < probe.all_rows.size() && probe.all_rows[x] < own[y])) {
-            next = probe.all_rows[x++];
-          } else {
-            next = own[y++];
-          }
-          subset.push_back(view.tuples[next]);
-        }
+      if (const BindIndex::BatchProbe* probe =
+              probe_of(static_cast<size_t>(&view - &merged[0]))) {
+        CandidateTuples(view, *probe, a.instance_id, 0, &subset);
         a.matcher_excluded += view.tuples.size() - subset.size();
         if (subset.empty()) {
           // Every tuple's probe excluded this instance: provably
@@ -496,10 +591,18 @@ Status ImpactStage::Run(CycleContext& ctx) {
         }
         continue;
       }
+      // A table outside the FROM list cannot affect the query.
+      if (std::none_of(instance.statement->from.begin(),
+                       instance.statement->from.end(),
+                       [&](const sql::TableRef& ref) {
+                         return EqualsIgnoreCase(ref.table, view.table);
+                       })) {
+        continue;
+      }
 
       if (env_.options->batch_deltas) {
-        Result<ImpactResult> impact =
-            analyzer.AnalyzeDelta(*instance.statement, view.table, *tuples);
+        Result<ImpactResult> impact = analyzer.AnalyzeDelta(
+            *instance.statement, view.table, *tuples, qualified_where());
         if (!impact.ok()) {
           a.status = impact.status();
           return;
@@ -530,6 +633,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
         if (affected) break;
       }
     }
+    if (pair_poll != nullptr) polls.push_back(std::move(pair_poll));
     a.check_time = env_.clock->NowMicros() - check_start;
     if (!a.checked) return;
     if (affected) {
@@ -708,44 +812,44 @@ struct MergedPoll {
   std::map<size_t, size_t> hit_best;
 };
 
-/// Appends the top-level OR disjuncts of `expr` to `out`, left to right.
-void CollectDisjuncts(const sql::Expression& expr,
-                      std::vector<const sql::Expression*>* out) {
-  if (expr.kind() == sql::ExprKind::kBinary) {
-    const auto& bin = static_cast<const sql::BinaryExpr&>(expr);
-    if (bin.op() == sql::BinaryOp::kOr) {
-      CollectDisjuncts(bin.left(), out);
-      CollectDisjuncts(bin.right(), out);
-      return;
+/// Resolves a member residual's columns against one row of a merged
+/// poll's `SELECT *` result over `from`.
+class PollRowResolver : public sql::ColumnResolver {
+ public:
+  PollRowResolver(const sql::TableRef& from,
+                  const std::vector<std::string>& columns, const db::Row& row)
+      : from_(from), columns_(columns), row_(row) {}
+
+  std::optional<sql::Value> Resolve(const std::string& table,
+                                    const std::string& column) const override {
+    if (!table.empty() && !EqualsIgnoreCase(table, from_.EffectiveName())) {
+      return std::nullopt;
     }
+    for (size_t i = 0; i < columns_.size() && i < row_.size(); ++i) {
+      if (EqualsIgnoreCase(columns_[i], column)) return row_[i];
+    }
+    return std::nullopt;
   }
-  out->push_back(&expr);
-}
+
+ private:
+  const sql::TableRef& from_;
+  const std::vector<std::string>& columns_;
+  const db::Row& row_;
+};
 
 /// Does `row` (a SELECT * result over `from`) satisfy a member poll's
-/// residual WHERE? Decided with the same substitution + fold the impact
-/// analyzer and the executor use, so the demultiplexed verdict equals
-/// what the member's own `SELECT 1 ... LIMIT 1` poll would have returned.
+/// residual WHERE? Evaluated the way the executor evaluates the member's
+/// own `SELECT 1 ... LIMIT 1` poll, so the demultiplexed verdict equals
+/// what that poll would have returned.
 bool RowSatisfies(const sql::Expression& where, const sql::TableRef& from,
                   const std::vector<std::string>& columns,
                   const db::Row& row) {
-  auto substituter = [&](const std::string& tbl, const std::string& col)
-      -> std::optional<sql::Value> {
-    if (!tbl.empty() && !EqualsIgnoreCase(tbl, from.EffectiveName())) {
-      return std::nullopt;
-    }
-    for (size_t i = 0; i < columns.size() && i < row.size(); ++i) {
-      if (EqualsIgnoreCase(columns[i], col)) return row[i];
-    }
-    return std::nullopt;
-  };
-  sql::FoldResult folded =
-      sql::FoldConstants(*sql::SubstituteColumns(where, substituter));
-  // A residual would mean the row lacks a referenced column (cannot
-  // happen: SELECT * carries the whole schema); count it as a hit rather
-  // than risk staleness.
-  return folded.outcome == sql::FoldOutcome::kTrue ||
-         folded.outcome == sql::FoldOutcome::kResidual;
+  PollRowResolver resolver(from, columns, row);
+  Result<std::optional<bool>> holds = sql::EvalPredicate(where, resolver);
+  // An error would mean the row lacks a referenced column (cannot happen:
+  // SELECT * carries the whole schema); count it as a hit rather than
+  // risk staleness.
+  return !holds.ok() || holds->value_or(false);
 }
 
 }  // namespace
@@ -848,16 +952,14 @@ Status PollStage::Run(CycleContext& ctx) {
       // equal semantics. The demux still checks every member.
       sql::ExpressionPtr disjunction;
       std::unordered_set<std::string> emitted;
-      std::vector<const sql::Expression*> disjuncts;
       for (size_t j = base; j < end; ++j) {
         size_t g = bucket_groups[j];
         poll.groups.push_back(g);
         consolidated[g] = true;
         for (size_t q = 0; q < poll_groups[g].queries.size(); ++q) {
           poll.members.push_back({g, q});
-          disjuncts.clear();
-          CollectDisjuncts(*poll_groups[g].queries[q]->where, &disjuncts);
-          for (const sql::Expression* clause : disjuncts) {
+          for (const sql::Expression* clause :
+               sql::SplitDisjuncts(*poll_groups[g].queries[q]->where)) {
             if (!emitted.insert(sql::ExprToSql(*clause)).second) continue;
             disjunction = disjunction == nullptr
                               ? clause->Clone()
@@ -1094,16 +1196,34 @@ Status DeliverStage::Run(CycleContext& ctx) {
 
   // Serial post-pass: ejected pages leave the map (retiring their rows
   // for every instance that fed them), and instances left without pages
-  // are unregistered.
+  // are unregistered — the affected ones and any other query an ejected
+  // page fed.
+  const uint64_t epoch_before = env_.map->removals_epoch();
+  uint64_t own_removals = 0;
+  std::set<std::string> co_fed;
   for (const Eject& eject : ejects) {
-    env_.map->RemovePage(eject.page_key);
+    for (std::string& query : env_.map->QueriesForPage(eject.page_key)) {
+      if (!ctx.affected.contains(query)) co_fed.insert(std::move(query));
+    }
+    if (env_.map->RemovePage(eject.page_key) > 0) ++own_removals;
     ++ctx.report.pages_invalidated;
     ++env_.stats->pages_invalidated;
   }
-  for (const std::string& instance_sql : ctx.affected) {
-    if (env_.map->NumPagesForQuery(instance_sql) == 0) {
-      env_.plane->RetireInstance(instance_sql);
+  for (const std::set<std::string>* sqls : {&ctx.affected, &co_fed}) {
+    for (const std::string& instance_sql : *sqls) {
+      if (env_.map->NumPagesForQuery(instance_sql) == 0) {
+        env_.plane->RetireInstance(instance_sql);
+      }
     }
+  }
+  // When every page removal since the impact stage's retire sweep was one
+  // of the above (each bumps the removal epoch once), every instance
+  // that could have lost its last page was just checked: the next
+  // cycle's sweep would retire nothing, so it is marked done.
+  if (env_.last_retire_epoch != nullptr &&
+      *env_.last_retire_epoch == std::optional<uint64_t>(epoch_before) &&
+      env_.map->removals_epoch() == epoch_before + own_removals) {
+    *env_.last_retire_epoch = epoch_before + own_removals;
   }
 
   return Status::OK();

@@ -8,11 +8,18 @@ size_t RequestToQueryMapper::Run() {
   size_t added = 0;
   const auto& queries = query_log_->entries();
   const auto& requests = request_log_->entries();
-  for (size_t i = cursor_; i < requests.size(); ++i) {
+  // Entry i has id base + i + 1. Only the mapper trims, so the cursor's
+  // entry is still retained; entries trimmed by anyone else are gone
+  // unmapped.
+  const uint64_t base = request_log_->base();
+  cursor_ = std::max(cursor_, base);
+  for (size_t i = cursor_ - base; i < requests.size(); ++i) {
     const RequestLogEntry& request = requests[i];
-    // Below the cursor: held entries the cursor just swept past.
-    if (i < cursor_ || !request.completed()) continue;
-    if (i > cursor_ && !processed_.insert(request.id).second) continue;
+    // At or below the cursor: held entries the cursor just swept past.
+    if (request.id <= cursor_ || !request.completed()) continue;
+    if (request.id > cursor_ + 1 && !processed_.insert(request.id).second) {
+      continue;
+    }
 
     // Query log entries are appended in receive-time order; binary-search
     // the first candidate.
@@ -28,13 +35,29 @@ size_t RequestToQueryMapper::Run() {
                 request.delivery_time);
       if (map_->size() > before) ++added;
     }
-    if (i == cursor_) {
+    if (request.id == cursor_ + 1) {
       do {
         ++cursor_;
-      } while (cursor_ < requests.size() &&
-               processed_.erase(requests[cursor_].id) > 0);
+      } while (cursor_ - base < requests.size() &&
+               processed_.erase(requests[cursor_ - base].id) > 0);
     }
   }
+
+  // A later Run maps only the requests past the cursor that are not
+  // held, and requests not opened yet; none of them was received before
+  // `horizon`, and a query matches only requests received no later than
+  // it was.
+  if (!requests.empty()) newest_receive_ = requests.back().receive_time;
+  if (newest_receive_.has_value()) {
+    Micros horizon = *newest_receive_;
+    for (size_t i = cursor_ - base; i < requests.size(); ++i) {
+      if (!processed_.contains(requests[i].id)) {
+        horizon = std::min(horizon, requests[i].receive_time);
+      }
+    }
+    query_log_->TrimBefore(horizon);
+  }
+  request_log_->TrimThrough(cursor_);
   return added;
 }
 

@@ -1,5 +1,6 @@
 #include "sniffer/query_log.h"
 
+#include <algorithm>
 #include <cstddef>
 
 namespace cacheportal::sniffer {
@@ -18,10 +19,19 @@ uint64_t QueryLog::Append(const std::string& sql, bool is_select,
 
 std::vector<QueryLogEntry> QueryLog::ReadSince(uint64_t after_id) const {
   std::vector<QueryLogEntry> out;
-  if (after_id >= entries_.size()) return out;
-  out.assign(entries_.begin() + static_cast<ptrdiff_t>(after_id),
-             entries_.end());
+  uint64_t skip = after_id > base_ ? after_id - base_ : 0;
+  if (skip >= entries_.size()) return out;
+  out.assign(entries_.begin() + static_cast<ptrdiff_t>(skip), entries_.end());
   return out;
+}
+
+void QueryLog::TrimBefore(Micros receive_time) {
+  auto keep = std::find_if(entries_.begin(), entries_.end(),
+                           [&](const QueryLogEntry& entry) {
+                             return entry.receive_time >= receive_time;
+                           });
+  base_ += static_cast<uint64_t>(keep - entries_.begin());
+  entries_.erase(entries_.begin(), keep);
 }
 
 }  // namespace cacheportal::sniffer

@@ -20,7 +20,9 @@ struct QueryLogEntry {
   Micros delivery_time = 0;
 };
 
-/// Append-only query log.
+/// Query log, appended in receive-time order. The request-to-query mapper
+/// trims the entries no later request can be matched with; ids are
+/// dense, 1-based and never reused.
 class QueryLog {
  public:
   QueryLog() = default;
@@ -32,14 +34,25 @@ class QueryLog {
   uint64_t Append(const std::string& sql, bool is_select, Micros receive_time,
                   Micros delivery_time);
 
+  /// The retained entries, oldest first; entry i has id base() + i + 1.
   const std::vector<QueryLogEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
 
-  /// Entries with id > `after_id`.
+  /// Entries ever appended, trimmed ones included.
+  uint64_t lifetime_size() const { return next_id_ - 1; }
+
+  /// Every id <= base() has been trimmed.
+  uint64_t base() const { return base_; }
+
+  /// Retained entries with id > `after_id`.
   std::vector<QueryLogEntry> ReadSince(uint64_t after_id) const;
+
+  /// Drops the leading entries received before `receive_time`.
+  void TrimBefore(Micros receive_time);
 
  private:
   std::vector<QueryLogEntry> entries_;
+  uint64_t base_ = 0;
   uint64_t next_id_ = 1;
 };
 

@@ -1,5 +1,6 @@
 #include "sniffer/request_log.h"
 
+#include <algorithm>
 #include <cstddef>
 
 namespace cacheportal::sniffer {
@@ -22,17 +23,24 @@ uint64_t RequestLog::Open(const std::string& servlet_name,
 }
 
 void RequestLog::Close(uint64_t id, Micros delivery_time) {
-  // IDs are dense and 1-based.
-  if (id == 0 || id > entries_.size()) return;
-  entries_[id - 1].delivery_time = delivery_time;
+  if (id <= base_ || id - base_ > entries_.size()) return;
+  entries_[id - base_ - 1].delivery_time = delivery_time;
 }
 
 std::vector<RequestLogEntry> RequestLog::ReadSince(uint64_t after_id) const {
   std::vector<RequestLogEntry> out;
-  if (after_id >= entries_.size()) return out;
-  out.assign(entries_.begin() + static_cast<ptrdiff_t>(after_id),
-             entries_.end());
+  uint64_t skip = after_id > base_ ? after_id - base_ : 0;
+  if (skip >= entries_.size()) return out;
+  out.assign(entries_.begin() + static_cast<ptrdiff_t>(skip), entries_.end());
   return out;
+}
+
+void RequestLog::TrimThrough(uint64_t id) {
+  if (id <= base_) return;
+  uint64_t drop = std::min<uint64_t>(id - base_, entries_.size());
+  entries_.erase(entries_.begin(),
+                 entries_.begin() + static_cast<ptrdiff_t>(drop));
+  base_ += drop;
 }
 
 }  // namespace cacheportal::sniffer

@@ -27,8 +27,10 @@ struct RequestLogEntry {
   bool completed() const { return delivery_time >= 0; }
 };
 
-/// Append-only request log written by the request logger and consumed by
-/// the request-to-query mapper.
+/// Request log written by the request logger and consumed by the
+/// request-to-query mapper, which trims the entries it has mapped. Ids
+/// are dense, 1-based and never reused: trimming moves the id base, so
+/// Close and ReadSince keep taking the ids Open returned.
 class RequestLog {
  public:
   RequestLog() = default;
@@ -43,17 +45,29 @@ class RequestLog {
                 const std::string& post_string, const std::string& page_key,
                 Micros receive_time);
 
-  /// Completes the entry with its delivery timestamp.
+  /// Completes the entry with its delivery timestamp. A trimmed id is
+  /// ignored.
   void Close(uint64_t id, Micros delivery_time);
 
+  /// The retained entries, oldest first; entry i has id base() + i + 1.
   const std::vector<RequestLogEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
 
-  /// Entries with id > `after_id` (for incremental consumption).
+  /// Entries ever opened, trimmed ones included.
+  uint64_t lifetime_size() const { return next_id_ - 1; }
+
+  /// Every id <= base() has been trimmed.
+  uint64_t base() const { return base_; }
+
+  /// Retained entries with id > `after_id` (for incremental consumption).
   std::vector<RequestLogEntry> ReadSince(uint64_t after_id) const;
+
+  /// Drops every entry with id <= `id`.
+  void TrimThrough(uint64_t id);
 
  private:
   std::vector<RequestLogEntry> entries_;
+  uint64_t base_ = 0;
   uint64_t next_id_ = 1;
 };
 

@@ -384,6 +384,29 @@ std::vector<const Expression*> SplitConjuncts(const Expression& expr) {
 
 namespace {
 
+void AppendDisjuncts(const Expression& expr,
+                     std::vector<const Expression*>* out) {
+  if (expr.kind() == ExprKind::kBinary) {
+    const auto& b = static_cast<const BinaryExpr&>(expr);
+    if (b.op() == BinaryOp::kOr) {
+      AppendDisjuncts(b.left(), out);
+      AppendDisjuncts(b.right(), out);
+      return;
+    }
+  }
+  out->push_back(&expr);
+}
+
+}  // namespace
+
+std::vector<const Expression*> SplitDisjuncts(const Expression& expr) {
+  std::vector<const Expression*> disjuncts;
+  AppendDisjuncts(expr, &disjuncts);
+  return disjuncts;
+}
+
+namespace {
+
 /// True if any node of `expr` is an aggregate function call.
 bool ContainsAggregate(const Expression& expr) {
   switch (expr.kind()) {

@@ -67,6 +67,11 @@ bool ContainsParameters(const Expression& expr);
 /// alias `expr`.
 std::vector<const Expression*> SplitConjuncts(const Expression& expr);
 
+/// Splits a disjunctive expression into its top-level OR disjuncts, left
+/// to right (a non-OR expression yields a single disjunct). Returned
+/// pointers alias `expr`.
+std::vector<const Expression*> SplitDisjuncts(const Expression& expr);
+
 /// Qualifies unqualified column references using `owner_of`, which maps a
 /// column name to the effective table name owning it (or nullopt if
 /// ambiguous/unknown — left untouched then). Used to normalize queries

@@ -20,6 +20,9 @@ const std::unordered_set<std::string>& KeywordSet() {
   return kKeywords;
 }
 
+/// Length of the longest keyword: a longer word is an identifier.
+constexpr size_t kLongestKeyword = 8;  // "DISTINCT"
+
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
 }
@@ -42,6 +45,7 @@ Result<std::vector<Token>> Lexer::Tokenize(const std::string& input) {
   std::vector<Token> tokens;
   size_t i = 0;
   const size_t n = input.size();
+  tokens.reserve(n / 4 + 4);  // About one token per four characters.
 
   auto push = [&](TokenType type, std::string text, size_t offset) {
     tokens.push_back(Token{type, std::move(text), offset});
@@ -57,12 +61,17 @@ Result<std::vector<Token>> Lexer::Tokenize(const std::string& input) {
     if (IsIdentStart(c)) {
       while (i < n && IsIdentCont(input[i])) ++i;
       std::string word = input.substr(start, i - start);
-      std::string upper = AsciiToUpper(word);
-      if (IsSqlKeyword(upper)) {
-        push(TokenType::kKeyword, std::move(upper), start);
-      } else {
-        push(TokenType::kIdentifier, std::move(word), start);
+      if (word.size() <= kLongestKeyword) {
+        std::string upper = word;
+        for (char& ch : upper) {
+          if (ch >= 'a' && ch <= 'z') ch = static_cast<char>(ch - 'a' + 'A');
+        }
+        if (IsSqlKeyword(upper)) {
+          push(TokenType::kKeyword, std::move(upper), start);
+          continue;
+        }
       }
+      push(TokenType::kIdentifier, std::move(word), start);
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "db/database.h"
+#include "sql/ast.h"
 
 namespace cacheportal::db {
 namespace {
@@ -167,6 +173,153 @@ TEST_F(ExecutorTest, IndexedEqualityLookupUsed) {
   EXPECT_EQ(r.rows.size(), 1u);
   // Index lookup touches far fewer rows than a full scan would.
   EXPECT_LE(car->rows_scanned() - before, 2u);
+}
+
+// The index answers `col = literal` pins, alone or OR-ed on one column,
+// only when the literal's class is the column's declared class (an int in
+// INT, a string in STRING): the index hashes by representation, while SQL
+// equality widens Int(3) to equal Double(3.0). Every other pin scans, so
+// an indexed and an unindexed copy of a table return identical rows.
+class IndexedPinTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* name : {"Ix", "Plain"}) {
+      ASSERT_TRUE(db_.CreateTable(TableSchema(name,
+                                              {{"id", ColumnType::kInt},
+                                               {"grp", ColumnType::kInt},
+                                               {"tag", ColumnType::kString},
+                                               {"score", ColumnType::kDouble}}))
+                      .ok());
+    }
+    for (const char* column : {"grp", "tag", "score"}) {
+      ASSERT_TRUE(db_.CreateIndex("Ix", column).ok());
+    }
+    const std::vector<Value> grps = {Value::Int(3), Value::Int(4),
+                                     Value::Null(), Value::Int(-3)};
+    const std::vector<Value> tags = {Value::String("a"), Value::String("3"),
+                                     Value::Null()};
+    const std::vector<Value> scores = {Value::Double(3.0),
+                                       Value::Double(std::nan("")),
+                                       Value::Null(), Value::Int(4)};
+    for (int i = 0; i < 24; ++i) {
+      Row row = {Value::Int(i), grps[i % grps.size()], tags[i % tags.size()],
+                 scores[(i / 2) % scores.size()]};
+      for (const char* name : {"Ix", "Plain"}) {
+        ASSERT_TRUE(db_.FindTable(name)->Insert(row).ok());
+      }
+    }
+  }
+
+  /// `SELECT * FROM table WHERE col = k1 OR col = k2 ...`, the first pin
+  /// written `literal = col`; with `conjoined`, each disjunct is
+  /// `col = k AND id < 12`.
+  QueryResult Pins(const std::string& table, const std::string& column,
+                   const std::vector<Value>& keys, bool conjoined = false) {
+    sql::SelectStatement stmt;
+    sql::SelectItem star;
+    star.star = true;
+    stmt.items.push_back(std::move(star));
+    sql::TableRef ref;
+    ref.table = table;
+    stmt.from.push_back(ref);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      sql::ExpressionPtr col = std::make_unique<sql::ColumnRefExpr>("", column);
+      sql::ExpressionPtr lit = std::make_unique<sql::LiteralExpr>(keys[i]);
+      if (i == 0) std::swap(col, lit);
+      sql::ExpressionPtr pin = std::make_unique<sql::BinaryExpr>(
+          sql::BinaryOp::kEq, std::move(col), std::move(lit));
+      if (conjoined) {
+        pin = std::make_unique<sql::BinaryExpr>(
+            sql::BinaryOp::kAnd, std::move(pin),
+            std::make_unique<sql::BinaryExpr>(
+                sql::BinaryOp::kLt,
+                std::make_unique<sql::ColumnRefExpr>("", "id"),
+                std::make_unique<sql::LiteralExpr>(Value::Int(12))));
+      }
+      stmt.where = stmt.where == nullptr
+                       ? std::move(pin)
+                       : std::make_unique<sql::BinaryExpr>(
+                             sql::BinaryOp::kOr, std::move(stmt.where),
+                             std::move(pin));
+    }
+    auto result = db_.ExecuteQuery(stmt);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(result).value() : QueryResult{};
+  }
+
+  /// The result's rows as text, one line each (a NaN cell equals itself).
+  static std::vector<std::string> Lines(const QueryResult& result) {
+    std::vector<std::string> lines;
+    for (const Row& row : result.rows) {
+      std::string line;
+      for (const Value& v : row) {
+        line += std::to_string(static_cast<int>(v.type())) + ":" +
+                v.ToSqlLiteral() + " ";
+      }
+      lines.push_back(line);
+    }
+    return lines;
+  }
+
+  Database db_;
+};
+
+TEST_F(IndexedPinTest, IndexedAndUnindexedTablesReturnIdenticalRows) {
+  const std::vector<Value> literals = {
+      Value::Int(3),         Value::Int(4),        Value::Double(3.0),
+      Value::Double(-3.0),   Value::Double(std::nan("")),
+      Value::String("a"),    Value::String("3"),   Value::Null(),
+      Value::Double(4.0)};
+  for (const char* column : {"grp", "tag", "score"}) {
+    for (size_t i = 0; i < literals.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << column << " = "
+                                      << literals[i].ToSqlLiteral());
+      EXPECT_EQ(Lines(Pins("Ix", column, {literals[i]})),
+                Lines(Pins("Plain", column, {literals[i]})));
+      for (size_t j = 0; j < literals.size(); ++j) {
+        SCOPED_TRACE(testing::Message() << " OR " << column << " = "
+                                        << literals[j].ToSqlLiteral());
+        for (bool conjoined : {false, true}) {
+          EXPECT_EQ(
+              Lines(Pins("Ix", column, {literals[i], literals[j]}, conjoined)),
+              Lines(
+                  Pins("Plain", column, {literals[i], literals[j]}, conjoined)));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(IndexedPinTest, MixedClassLiteralFindsTheRow) {
+  // Int(3) and Double(3.0) hash apart in the index.
+  EXPECT_EQ(Pins("Ix", "grp", {Value::Double(3.0)}).rows.size(), 6u);
+  EXPECT_EQ(Pins("Plain", "grp", {Value::Double(3.0)}).rows.size(), 6u);
+}
+
+TEST_F(IndexedPinTest, SameClassOrUnionIsServedFromTheIndex) {
+  const Table* ix = db_.FindTable("Ix");
+  uint64_t before = ix->rows_scanned();
+  QueryResult r = Pins("Ix", "grp", {Value::Int(3), Value::Int(4),
+                                     Value::Int(3)});
+  EXPECT_EQ(r.rows.size(), 12u);
+  // The union touches the matching rows (a duplicated key twice), not
+  // the whole table.
+  EXPECT_LE(ix->rows_scanned() - before, 18u);
+  // Rows come back in RowId order, as a scan returns them.
+  for (size_t i = 1; i < r.rows.size(); ++i) {
+    EXPECT_LT(r.rows[i - 1][0].AsInt(), r.rows[i][0].AsInt());
+  }
+  // Pins AND-ed with other terms narrow through the same union; the
+  // other terms are evaluated on the rows it returns.
+  before = ix->rows_scanned();
+  EXPECT_EQ(
+      Pins("Ix", "grp", {Value::Int(3), Value::Int(4)}, true).rows.size(), 6u);
+  EXPECT_EQ(ix->rows_scanned() - before, 12u);
+  // One key of another class sends the whole union to a scan.
+  before = ix->rows_scanned();
+  EXPECT_EQ(Pins("Ix", "grp", {Value::Int(3), Value::Double(4.0)}).rows.size(),
+            12u);
+  EXPECT_EQ(ix->rows_scanned() - before, 24u);
 }
 
 TEST_F(ExecutorTest, InsertReportsAffectedAndDeleteRemoves) {

@@ -351,6 +351,67 @@ TEST_F(ImpactTest, EqualResidualsAreEmittedOnce) {
             "'Avalon' = Mileage.model");
 }
 
+// The pair term: Car and Mileage tuples both deleted in one batch,
+// folded together.
+TEST_F(ImpactTest, PairTermFoldsDeletedPartnersTogether) {
+  ImpactAnalyzer analyzer(&db_);
+  auto query = Query(kQuery1);
+  sql::ExpressionPtr where = analyzer.QualifiedWhere(*query);
+  db::Row civic = CarRow("H", "Civic", 18000);
+  db::Row pricey = CarRow("T", "Civic", 25000);  // Fails the price bound.
+  db::Row civic_epa = {Value::String("Civic"), Value::Int(36)};
+  db::Row avalon_epa = {Value::String("Avalon"), Value::Int(28)};
+
+  auto pairs = [&](std::vector<const db::Row*> cars,
+                   std::vector<const db::Row*> mileage) {
+    auto result =
+        analyzer.AnalyzePairs(*query, *where, "Car", cars, "Mileage", mileage);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->kind : ImpactKind::kAffected;
+  };
+  EXPECT_EQ(pairs({&civic}, {&civic_epa}), ImpactKind::kAffected);
+  EXPECT_EQ(pairs({&civic}, {&avalon_epa}), ImpactKind::kUnaffected);
+  EXPECT_EQ(pairs({&pricey}, {&civic_epa}), ImpactKind::kUnaffected);
+  EXPECT_EQ(pairs({&pricey, &civic}, {&avalon_epa, &civic_epa}),
+            ImpactKind::kAffected);
+  EXPECT_EQ(pairs({}, {&civic_epa}), ImpactKind::kUnaffected);
+
+  // Above the cap the verdict is affected without folding, even for
+  // pairs that would all fold FALSE.
+  std::vector<const db::Row*> cars(65, &pricey);
+  std::vector<const db::Row*> mileage(64, &avalon_epa);
+  EXPECT_EQ(pairs(std::vector<const db::Row*>(64, &pricey), mileage),
+            ImpactKind::kUnaffected);
+  EXPECT_EQ(pairs(cars, mileage), ImpactKind::kAffected);
+
+  EXPECT_FALSE(analyzer
+                   .AnalyzePairs(*query, *where, "Car", {&civic}, "car",
+                                 {&civic})
+                   .ok());
+}
+
+TEST_F(ImpactTest, PairTermPollsTheRemainingTable) {
+  ASSERT_TRUE(db_.CreateTable(db::TableSchema(
+                                  "Dealer", {{"model", db::ColumnType::kString},
+                                             {"city", db::ColumnType::kString}}))
+                  .ok());
+  ImpactAnalyzer analyzer(&db_);
+  auto query = Query(
+      "SELECT Car.maker FROM Car, Mileage, Dealer WHERE Car.model = "
+      "Mileage.model AND Mileage.model = Dealer.model AND city = 'Kyoto'");
+  sql::ExpressionPtr where = analyzer.QualifiedWhere(*query);
+  db::Row civic = CarRow("H", "Civic", 18000);
+  db::Row civic_epa = {Value::String("Civic"), Value::Int(36)};
+  db::Row avalon_epa = {Value::String("Avalon"), Value::Int(28)};
+  auto result = analyzer.AnalyzePairs(*query, *where, "Car", {&civic},
+                                      "Mileage", {&civic_epa, &avalon_epa});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->kind, ImpactKind::kNeedsPolling);
+  EXPECT_EQ(sql::StatementToSql(*result->polling_query),
+            "SELECT 1 AS hit FROM Dealer WHERE 'Civic' = Dealer.model AND "
+            "Dealer.city = 'Kyoto' LIMIT 1");
+}
+
 // ---------------------------------------------------------------------
 // Soundness oracle for the pinned-column fold. Random conjunctions over
 // A(x INT, d DOUBLE, s STRING) and an updated B(y INT, e DOUBLE,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -418,6 +420,310 @@ TEST_P(JoinWorldDifferentialTest, EjectsMatchOraclesWithFewerPolls) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinWorldDifferentialTest,
                          ::testing::Range<uint64_t>(1, 5));
+
+// ---------------------------------------------------------------------------
+// Both join tables updated in every batch. SmallT and LargeT (id, grp,
+// val) and an un-updated Ref(grp, label) holding only the even groups;
+// per group a two-table join page, a three-table join page through Ref
+// and a single-table page. Each batch updates both tables by id: in
+// place, by moving a row's group, or by a delete + insert. Some batches
+// also empty one group in both tables (moving its rows to the next
+// group): a join row whose two components are both deleted, which only
+// the pair term finds. Per cycle, at workers {1,4,8} x shards {1,4}: ejects
+// cover the re-execution oracle's stale pages and equal the precision
+// reference on the join pages, and every point of the matrix is
+// byte-identical.
+// ---------------------------------------------------------------------------
+
+struct BothTablesWorldResult {
+  std::vector<std::set<std::string>> ejected;
+  std::vector<std::set<std::string>> stale;
+  std::vector<std::set<std::string>> reference;
+  std::set<std::string> exact_pages;
+  std::vector<std::string> summaries;
+  std::string final_report;
+  uint64_t pair_only = 0;  // Reference ejects only the pair term makes.
+};
+
+BothTablesWorldResult RunBothTablesWorld(uint64_t seed, size_t workers,
+                                         size_t shards) {
+  constexpr int kGroups = 8;
+  Random rng(seed);
+  ManualClock clock;
+  db::Database db(&clock);
+  const char* const kTables[] = {"SmallT", "LargeT"};
+  for (const char* table : kTables) {
+    EXPECT_TRUE(db.CreateTable(db::TableSchema(
+                                   table, {{"id", db::ColumnType::kInt},
+                                           {"grp", db::ColumnType::kInt},
+                                           {"val", db::ColumnType::kInt}}))
+                    .ok());
+  }
+  EXPECT_TRUE(db.CreateTable(db::TableSchema(
+                                 "Ref", {{"grp", db::ColumnType::kInt},
+                                         {"label", db::ColumnType::kString}}))
+                  .ok());
+  // Live rows per table: id -> grp.
+  std::map<int, int> live[2];
+  int next_id = 0;
+  auto insert = [&](int t, int g) {
+    db.ExecuteSql(StrCat("INSERT INTO ", kTables[t], " VALUES (", next_id,
+                         ", ", g, ", ", rng.Uniform(100), ")"))
+        .value();
+    live[t][next_id++] = g;
+  };
+  for (int g = 0; g < kGroups; ++g) {
+    for (int i = 0; i < 2; ++i) insert(0, g);
+    for (int i = 0; i < 4; ++i) insert(1, g);
+    if (g % 2 == 0) {
+      db.ExecuteSql(StrCat("INSERT INTO Ref VALUES (", g, ", 'r", g, "')"))
+          .value();
+    }
+  }
+
+  std::vector<std::string> sqls;
+  for (int g = 0; g < kGroups; ++g) {
+    sqls.push_back(StrCat(
+        "SELECT COUNT(*) AS pairs, MAX(LargeT.val) AS best FROM SmallT, "
+        "LargeT WHERE SmallT.grp = LargeT.grp AND SmallT.grp = ",
+        g));
+    sqls.push_back(
+        StrCat("SELECT COUNT(*) AS n FROM SmallT, LargeT, Ref WHERE "
+               "SmallT.grp = LargeT.grp AND LargeT.grp = Ref.grp AND "
+               "SmallT.grp = ",
+               g));
+    sqls.push_back(StrCat("SELECT id, val FROM ", kTables[g % 2],
+                          " WHERE grp = ", g));
+  }
+  auto page_of = [](size_t i) { return StrCat("site/p", i, "?##"); };
+
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  InvalidatorOptions options;
+  options.worker_threads = workers;
+  options.metadata_shards = shards;
+  Invalidator inv(&db, &map, &clock, options);
+  inv.AddSink(&sink);
+  BaselineInvalidator oracle(&db, &map);
+
+  // A live id of table `t`, drawn uniformly.
+  auto pick = [&](int t) {
+    auto it = live[t].begin();
+    std::advance(it, rng.Uniform(live[t].size()));
+    return it->first;
+  };
+  // One update of table `t` by id: in place, a group move, or a delete +
+  // insert into the deleted row's group.
+  auto update = [&](int t) {
+    int id = pick(t);
+    switch (rng.Uniform(3)) {
+      case 0:
+        db.ExecuteSql(StrCat("UPDATE ", kTables[t], " SET val = ",
+                             rng.Uniform(100), " WHERE id = ", id))
+            .value();
+        break;
+      case 1: {
+        int g = static_cast<int>(rng.Uniform(kGroups));
+        db.ExecuteSql(StrCat("UPDATE ", kTables[t], " SET grp = ", g,
+                             " WHERE id = ", id))
+            .value();
+        live[t][id] = g;
+        break;
+      }
+      default: {
+        int g = live[t][id];
+        db.ExecuteSql(StrCat("DELETE FROM ", kTables[t], " WHERE id = ", id))
+            .value();
+        live[t].erase(id);
+        insert(t, g);
+        break;
+      }
+    }
+  };
+
+  BothTablesWorldResult result;
+  uint64_t seq = db.update_log().LastSeq();
+  for (int cycle = 0; cycle < 16; ++cycle) {
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      map.Add(sqls[i], page_of(i), "/r", 0);
+    }
+    oracle.RunCycle().value();
+    for (int t = 0; t < 2; ++t) {
+      for (uint64_t u = 1 + rng.Uniform(2); u > 0; --u) update(t);
+    }
+    if (rng.Uniform(3) == 0) {
+      // Empty group g in both tables: its rows move to the next group as
+      // a delete + insert each.
+      int g = static_cast<int>(rng.Uniform(kGroups));
+      for (int t = 0; t < 2; ++t) {
+        std::vector<int> ids;
+        for (const auto& [id, grp] : live[t]) {
+          if (grp == g) ids.push_back(id);
+        }
+        for (int id : ids) {
+          db.ExecuteSql(
+                StrCat("DELETE FROM ", kTables[t], " WHERE id = ", id))
+              .value();
+          live[t].erase(id);
+          insert(t, (g + 1) % kGroups);
+        }
+      }
+    }
+    std::set<std::string> pair_only;
+    result.reference.push_back(ReferencePages(
+        ReferenceAffected(db, db.update_log().ReadSince(seq), sqls,
+                          &pair_only),
+        sqls, page_of));
+    result.pair_only += pair_only.size();
+    seq = db.update_log().LastSeq();
+    result.stale.push_back(oracle.RunCycle().value().stale_pages);
+    sink.invalidated.clear();
+    auto report = inv.RunCycle();
+    EXPECT_TRUE(report.ok());
+    result.ejected.push_back(sink.invalidated);
+    result.summaries.push_back(
+        StrCat(report->updates, "|", report->new_instances, "|",
+               report->checks, "|", report->affected_instances, "|",
+               report->polls_issued, "|", report->conservative_invalidations,
+               "|", report->pages_invalidated));
+  }
+  result.exact_pages = ExactTierPages(inv.metadata(), sqls, page_of);
+  result.final_report = inv.StatsReport();
+  return result;
+}
+
+class BothTablesWorldTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BothTablesWorldTest, EjectsMatchOraclesAcrossTheMatrix) {
+  const uint64_t seed = GetParam();
+  BothTablesWorldResult base =
+      RunBothTablesWorld(seed, /*workers=*/1, /*shards=*/1);
+  for (size_t c = 0; c < base.ejected.size(); ++c) {
+    SCOPED_TRACE(StrCat("cycle ", c));
+    for (const std::string& page : base.stale[c]) {
+      EXPECT_TRUE(base.ejected[c].contains(page))
+          << "STALE RETENTION of '" << page << "'";
+    }
+    ExpectReferencePrecision(base.ejected[c], base.reference[c],
+                             base.exact_pages);
+  }
+  // Only the single-table pages are exact-tier: every join page is held
+  // to equality with the reference.
+  EXPECT_EQ(base.exact_pages.size(), 8u);
+  for (size_t workers : {1u, 4u, 8u}) {
+    for (size_t shards : {1u, 4u}) {
+      if (workers == 1 && shards == 1) continue;
+      SCOPED_TRACE(StrCat("workers ", workers, " shards ", shards));
+      BothTablesWorldResult got = RunBothTablesWorld(seed, workers, shards);
+      EXPECT_EQ(got.ejected, base.ejected);
+      EXPECT_EQ(got.summaries, base.summaries);
+      EXPECT_EQ(got.final_report, base.final_report);
+    }
+  }
+  // The world exercises the pair term: some reference ejects are made by
+  // it alone (4 to 10 per seed).
+  EXPECT_GT(base.pair_only, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BothTablesWorldTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+// ---------------------------------------------------------------------------
+// The pair term, deterministically: one row per table in group 5, and one
+// batch deleting both. Each table's poll looks for the other's row in the
+// current state and finds nothing; only the pair term sees the join row
+// the batch removed.
+// ---------------------------------------------------------------------------
+
+class PairTermTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* table : {"R", "S", "T"}) {
+      ASSERT_TRUE(db_.CreateTable(db::TableSchema(
+                                      table, {{"id", db::ColumnType::kInt},
+                                              {"g", db::ColumnType::kInt}}))
+                      .ok());
+    }
+    for (int g : {5, 6}) {
+      db_.ExecuteSql(StrCat("INSERT INTO R VALUES (", g, ", ", g, ")"))
+          .value();
+      db_.ExecuteSql(StrCat("INSERT INTO S VALUES (", g, ", ", g, ")"))
+          .value();
+    }
+    db_.ExecuteSql("INSERT INTO T VALUES (1, 5)").value();
+    inv_.AddSink(&sink_);
+    ASSERT_TRUE(inv_.RunCycle().ok());  // Drain the seeding inserts.
+  }
+
+  /// Caches `sql` under the page key `page?##`.
+  void Cache(const std::string& sql, const std::string& page) {
+    map_.Add(sql, StrCat(page, "?##"), "/r", 0);
+  }
+
+  std::set<std::string> Cycle() {
+    sink_.invalidated.clear();
+    EXPECT_TRUE(inv_.RunCycle().ok());
+    return sink_.invalidated;
+  }
+
+  ManualClock clock_;
+  db::Database db_{&clock_};
+  sniffer::QiUrlMap map_;
+  RecordingSink sink_;
+  Invalidator inv_{&db_, &map_, &clock_, InvalidatorOptions{}};
+};
+
+TEST_F(PairTermTest, DeletingBothJoinPartnersEjectsThePage) {
+  Cache("SELECT COUNT(*) FROM R, S WHERE R.g = S.g AND R.g = 5", "pair/5");
+  Cache("SELECT COUNT(*) FROM R, S WHERE R.g = S.g AND R.g = 6", "pair/6");
+  BaselineInvalidator oracle(&db_, &map_);
+  oracle.RunCycle().value();
+  EXPECT_TRUE(Cycle().empty());  // Registers the instances.
+
+  db_.ExecuteSql("DELETE FROM R WHERE g = 5").value();
+  db_.ExecuteSql("DELETE FROM S WHERE g = 5").value();
+  std::set<std::string> stale = oracle.RunCycle().value().stale_pages;
+  EXPECT_EQ(stale, std::set<std::string>{"pair/5?##"});
+  EXPECT_EQ(Cycle(), std::set<std::string>{"pair/5?##"});
+  // Group 6 was neither probed nor polled.
+  EXPECT_EQ(inv_.stats().polls_issued, 0u);
+}
+
+TEST_F(PairTermTest, AThirdTableTurnsThePairIntoAPoll) {
+  // T holds group 5 only: deleting both partners of group 5 removes a
+  // join row, of group 6 removes nothing (the join had no row).
+  Cache("SELECT COUNT(*) FROM R, S, T WHERE R.g = S.g AND S.g = T.g AND "
+        "R.g = 5",
+        "triple/5");
+  Cache("SELECT COUNT(*) FROM R, S, T WHERE R.g = S.g AND S.g = T.g AND "
+        "R.g = 6",
+        "triple/6");
+  EXPECT_TRUE(Cycle().empty());
+
+  db_.ExecuteSql("DELETE FROM R WHERE g = 5").value();
+  db_.ExecuteSql("DELETE FROM S WHERE g = 5").value();
+  db_.ExecuteSql("DELETE FROM R WHERE g = 6").value();
+  db_.ExecuteSql("DELETE FROM S WHERE g = 6").value();
+  EXPECT_EQ(Cycle(), std::set<std::string>{"triple/5?##"});
+  EXPECT_GT(inv_.stats().polls_issued, 0u);
+}
+
+TEST_F(PairTermTest, SelfJoinsAndThreeUpdatedTablesKeepTheGuard) {
+  Cache("SELECT COUNT(*) FROM R, R AS R2 WHERE R.g = R2.g AND R.g = 6",
+        "self/6");
+  Cache("SELECT COUNT(*) FROM R, S, T WHERE R.g = S.g AND S.g = T.g AND "
+        "R.g = 6",
+        "triple/6");
+  Cache("SELECT COUNT(*) FROM R, S WHERE R.g = S.g AND R.g = 6", "pair/6");
+  EXPECT_TRUE(Cycle().empty());
+
+  // Rows of group 7 reach none of the three WHERE clauses.
+  db_.ExecuteSql("INSERT INTO R VALUES (7, 7)").value();
+  db_.ExecuteSql("INSERT INTO S VALUES (7, 7)").value();
+  db_.ExecuteSql("INSERT INTO T VALUES (7, 7)").value();
+  EXPECT_EQ(Cycle(), (std::set<std::string>{"self/6?##", "triple/6?##"}));
+  EXPECT_EQ(inv_.stats().polls_issued, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Boundary units: each relational operator's index probe must exclude

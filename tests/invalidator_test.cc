@@ -141,6 +141,27 @@ TEST_F(InvalidatorTest, JoinIndexAvoidsPolling) {
   EXPECT_EQ(report->pages_invalidated, 1u);
 }
 
+// The join index hashes values by representation: it answers a poll
+// only for a literal of the column's declared class, and leaves
+// `Mileage.EPA = 28.0` (a double against an INT column, equal to the
+// cell 28 under SQL) to the DBMS instead of answering "no row".
+TEST_F(InvalidatorTest, JoinIndexLeavesMixedClassPollsToTheDbms) {
+  auto inv = Make();
+  ASSERT_TRUE(inv->CreateJoinIndex("Mileage", "EPA").ok());
+  MapPage("SELECT Car.maker FROM Car, Mileage WHERE Mileage.EPA = 28.0 AND "
+          "Car.price < 20000",
+          "shop/double?##");
+  MapPage("SELECT Car.maker FROM Car, Mileage WHERE Mileage.EPA = 28 AND "
+          "Car.price < 20000",
+          "shop/int?##");
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Kia', 'Rio', 15000)").value();
+  auto report = inv->RunCycle();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->polls_answered_by_index, 1u);  // The int literal.
+  EXPECT_EQ(report->polls_issued, 1u);             // The double one.
+  EXPECT_EQ(report->pages_invalidated, 2u);
+}
+
 TEST_F(InvalidatorTest, PollingBudgetForcesConservativeInvalidation) {
   InvalidatorOptions options;
   options.max_polls_per_cycle = 1;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/strings.h"
 #include "db/database.h"
 #include "server/jdbc.h"
 #include "sniffer/mapper.h"
@@ -400,6 +401,95 @@ TEST(MapperTest, OutOfOrderCompletionsAreMappedOnce) {
   EXPECT_EQ(mapper.Run(), 0u);
   EXPECT_EQ(mapper.requests_processed(), 4u);
   EXPECT_EQ(map.PagesForQuery("qd"), std::vector<std::string>{"pageD"});
+}
+
+TEST(MapperTest, InFlightRequestsSpanATrimAndStillMapTheirQueries) {
+  RequestLog requests;
+  QueryLog queries;
+  QiUrlMap map;
+  RequestToQueryMapper mapper(&requests, &queries, &map);
+
+  // A stays in flight across two runs while B and C complete.
+  uint64_t a = requests.Open("s", "/a", "", "", "pageA", 100);
+  uint64_t b = requests.Open("s", "/b", "", "", "pageB", 300);
+  queries.Append("qb", true, 310, 320);
+  requests.Close(b, 330);
+  EXPECT_EQ(mapper.Run(), 1u);
+  // Nothing is trimmed while A, received first, can still be mapped.
+  EXPECT_EQ(requests.size(), 2u);
+  EXPECT_EQ(queries.size(), 1u);
+
+  uint64_t c = requests.Open("s", "/c", "", "", "pageC", 400);
+  queries.Append("qc", true, 410, 420);
+  requests.Close(c, 430);
+  EXPECT_EQ(mapper.Run(), 1u);
+  EXPECT_EQ(requests.size(), 3u);
+
+  // A completes: qb and qc fall inside its interval and are still there.
+  requests.Close(a, 500);
+  EXPECT_EQ(mapper.Run(), 2u);
+  EXPECT_EQ(map.PagesForQuery("qb"),
+            (std::vector<std::string>{"pageA", "pageB"}));
+  EXPECT_EQ(map.PagesForQuery("qc"),
+            (std::vector<std::string>{"pageA", "pageC"}));
+  EXPECT_EQ(mapper.requests_processed(), 3u);
+  // Every request is mapped and trimmed. Only a query received at or
+  // after the newest request (C, at 400) could match a later one.
+  EXPECT_EQ(requests.size(), 0u);
+  EXPECT_EQ(requests.lifetime_size(), 3u);
+  ASSERT_EQ(queries.size(), 1u);
+  EXPECT_EQ(queries.entries()[0].sql, "qc");
+  EXPECT_EQ(queries.lifetime_size(), 2u);
+
+  // Ids keep counting past the trim; closing a trimmed id is a no-op.
+  requests.Close(a, 900);
+  uint64_t d = requests.Open("s", "/d", "", "", "pageD", 600);
+  EXPECT_EQ(d, 4u);
+  queries.Append("qd", true, 610, 620);
+  EXPECT_EQ(mapper.Run(), 0u);  // D is in flight.
+  requests.Close(d, 630);
+  EXPECT_EQ(mapper.Run(), 1u);
+  EXPECT_EQ(map.PagesForQuery("qd"), std::vector<std::string>{"pageD"});
+  EXPECT_EQ(mapper.requests_processed(), 4u);
+  EXPECT_EQ(requests.size(), 0u);
+  ASSERT_EQ(queries.size(), 1u);
+  EXPECT_EQ(queries.entries()[0].sql, "qd");
+}
+
+TEST(LogTrimTest, IdsSurviveATrim) {
+  RequestLog requests;
+  for (int i = 0; i < 4; ++i) {
+    requests.Open("s", StrCat("/p", i), "", "", StrCat("p", i), 100 * i);
+  }
+  requests.TrimThrough(2);
+  EXPECT_EQ(requests.base(), 2u);
+  EXPECT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests.lifetime_size(), 4u);
+  EXPECT_EQ(requests.entries()[0].id, 3u);
+  EXPECT_EQ(requests.ReadSince(0).size(), 2u);
+  EXPECT_EQ(requests.ReadSince(3).size(), 1u);
+  EXPECT_EQ(requests.ReadSince(4).size(), 0u);
+  requests.Close(1, 50);  // Trimmed: ignored.
+  requests.Close(3, 250);
+  EXPECT_EQ(requests.entries()[0].delivery_time, 250);
+  EXPECT_FALSE(requests.entries()[1].completed());
+  EXPECT_EQ(requests.Open("s", "/p4", "", "", "p4", 400), 5u);
+  requests.TrimThrough(9);  // Past the end: trims what there is.
+  EXPECT_EQ(requests.size(), 0u);
+  EXPECT_EQ(requests.base(), 5u);
+
+  QueryLog queries;
+  for (int i = 0; i < 4; ++i) queries.Append("q", true, 100 * i, 100 * i + 1);
+  queries.TrimBefore(150);
+  EXPECT_EQ(queries.base(), 2u);
+  EXPECT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries.entries()[0].id, 3u);
+  EXPECT_EQ(queries.ReadSince(0).size(), 2u);
+  EXPECT_EQ(queries.ReadSince(3).size(), 1u);
+  queries.TrimBefore(200);  // Entry 3 was received at 200: kept.
+  EXPECT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries.Append("q", true, 400, 401), 5u);
+  EXPECT_EQ(queries.lifetime_size(), 5u);
 }
 
 }  // namespace
